@@ -1,0 +1,111 @@
+"""Pinned outputs of the SAT path: emitted DIMACS and varmap bytes, and the
+internal solver's answers, conflict counts and models on fixed instances.
+
+The digests and trajectories below were recorded from the list-based encoder
+and solver load that preceded the array-based ones; any change to them means
+the numbering, the clause order or the search order changed.
+"""
+
+import hashlib
+import itertools
+import random
+
+import pytest
+
+import posetdim as pd
+from posetdim import cli
+from posetdim.formats import parse_poset_spec
+from posetdim.sat import CnfInstance, VarMap, check_model, internal_sat_solve
+
+EMIT_GOLDEN = [
+    (
+        ["boolean:4", "--d", "3"],
+        "edf8e7e238a881b2d012f85e7ac640f7833ff8a1ea4a139257d21d5fea9766b6",
+        "014abf9cabfa9c9176c6ef9d01f378d4d389d8a56a4b9919bdd1eb4507bdbb68",
+    ),
+    (
+        ["standard:5", "--d", "4"],
+        "9e6b655987dfae243949f983e38d3eba33494f6e78e41dbf639c3a0cb915c594",
+        "07671dcd371d74e008b82edf10f9580b0a464604c11d9ce86ff50a7b090562d7",
+    ),
+    (
+        ["boolean:3", "--d", "3", "--phi", "and"],
+        "44a836680cee106a9af40c1b9c754f0d1727837ee8bb90f4474b88f236477efe",
+        "a9db40f51dde47146e736982861ff4d443c89cd303803ae01bcf7128cb28e323",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, cnf_sha, varmap_sha", EMIT_GOLDEN)
+def test_emitted_bytes_pinned(tmp_path, capsys, args, cnf_sha, varmap_sha):
+    out = tmp_path / "instance.cnf"
+    assert cli.main(["sat", *args, "--engine", "emit", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == cnf_sha
+    varmap = tmp_path / "instance.cnf.varmap"
+    assert hashlib.sha256(varmap.read_bytes()).hexdigest() == varmap_sha
+
+
+def _model_mask(assignment):
+    """The model as a bit mask over 1-based variable ids, in hex."""
+    return hex(sum(1 << v for v in range(1, len(assignment)) if assignment[v]))
+
+
+# (spec, d, phi, conflict_limit, status, conflicts, model mask)
+TRAJECTORIES = [
+    ("chain:3", 1, "free", None, "sat", 0, "0x2e"),
+    ("boolean:3", 3, "and", None, "sat", 2, "0x1bd7eafffe67fffffffffe"),
+    ("standard:4", 4, "free", None, "sat", 0, "0x1ec5c3ffbce1c0cf7ffe4effffe7ffffe"),
+    ("boolean:2", 2, "free", None, "sat", 0, "0x11bfe"),
+    ("boolean:3", 2, "free", None, "unsat", 56, None),
+    ("standard:4", 3, "and", None, "unsat", 4108, None),
+    ("standard:5", 5, "and", 2000, "unknown", 2001, None),
+]
+
+
+@pytest.mark.parametrize("spec, d, phi, limit, status, conflicts, mask", TRAJECTORIES)
+def test_solver_trajectory_pinned(spec, d, phi, limit, status, conflicts, mask):
+    fixed = None if phi == "free" else pd.and_function(d)
+    cnf = pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
+    result = internal_sat_solve(cnf, conflict_limit=limit)
+    assert result.status == status
+    assert result.conflicts == conflicts
+    if mask is None:
+        assert result.assignment is None
+    else:
+        assert _model_mask(result.assignment) == mask
+        assert result.model_verified
+
+
+def _random_cnf(rng):
+    """A small CNF that often holds duplicate literals, tautologies and unit
+    clauses."""
+    nv = rng.randint(1, 8)
+    clauses = []
+    for _ in range(rng.randint(1, 20)):
+        width = rng.choice((1, 1, 2, 3, 3, 4, 5))
+        clause = [rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(width)]
+        if rng.random() < 0.15:
+            clause.append(clause[0])
+        if rng.random() < 0.1:
+            clause.append(-clause[0])
+        clauses.append(clause)
+    return nv, clauses
+
+
+def test_solver_agrees_with_brute_force_on_messy_clauses():
+    rng = random.Random(20261018)
+    seen_marked = seen_units = 0
+    for trial in range(400):
+        nv, clauses = _random_cnf(rng)
+        seen_marked += any(len(set(map(abs, c))) < len(c) for c in clauses)
+        seen_units += any(len(c) == 1 for c in clauses)
+        result = internal_sat_solve(CnfInstance(nv, clauses, VarMap()))
+        brute_sat = any(
+            check_model(clauses, [False, *bits])
+            for bits in itertools.product((False, True), repeat=nv)
+        )
+        assert result.status == ("sat" if brute_sat else "unsat"), (trial, clauses)
+        if brute_sat:
+            assert check_model(clauses, result.assignment)
+    assert seen_marked > 100 and seen_units > 100
