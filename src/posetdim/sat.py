@@ -6,14 +6,22 @@ each order to be total; linking clauses tie every ordered pair's query tuple
 to the required answer.  A small complete DPLL solver handles desk-scale
 instances; bigger ones go to an external solver through DIMACS files, whose
 models are re-checked locally before being trusted.
+
+Variable ids follow a closed form (see VarMap) and clauses live in flat
+integer arrays (see ClauseArray), so encoding, DIMACS export, model checks
+and decoding are array operations rather than per-literal Python work.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +47,7 @@ from .realizer import (
 
 MAX_SAT_ELEMENTS = 128
 MAX_SAT_D = 8
+_MAX_VARS = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -66,47 +75,103 @@ class AuxVar:
 VarMeaning = OrderVar | PhiVar | AuxVar
 
 
-@dataclass
+@dataclass(frozen=True)
 class VarMap:
-    """1-based variable numbering with both lookup directions."""
+    """Pinned 1-based numbering of a realizer instance.
 
-    records: dict[int, VarMeaning] = field(default_factory=dict)
-    _order: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    _phi: dict[int, int] = field(default_factory=dict)
+    Order variables come first, order-major with pairs x < y ascending:
+    ``var(i, x, y) = 1 + i*C(n,2) + rank(x, y)``.  Truth-table variables
+    follow when phi is free: ``phi(t) = 1 + d*C(n,2) + t``.  Auxiliary
+    variables come last.  ``VarMap()`` numbers nothing, as for parsed or
+    hand-built instances.
+    """
 
-    def add(self, meaning: VarMeaning) -> int:
-        vid = len(self.records) + 1
-        self.records[vid] = meaning
-        if isinstance(meaning, OrderVar):
-            self._order[(meaning.order, meaning.x, meaning.y)] = vid
-        elif isinstance(meaning, PhiVar):
-            self._phi[meaning.index] = vid
-        return vid
+    n: int = 0
+    d: int = 0
+    free_phi: bool = False
+    aux: tuple[str, ...] = ()
 
-    def before_literal(self, order: int, x: int, y: int) -> int:
-        """Signed literal asserting "x before y in the given order"."""
-        if x < y:
-            return self._order[(order, x, y)]
-        return -self._order[(order, y, x)]
+    @property
+    def pairs(self) -> int:
+        return self.n * (self.n - 1) // 2
 
-    def phi_literal(self, index: int) -> int:
-        return self._phi[index]
+    @property
+    def num_order_vars(self) -> int:
+        return self.d * self.pairs
 
     @property
     def num_vars(self) -> int:
-        return len(self.records)
+        phi = 1 << self.d if self.free_phi else 0
+        return self.num_order_vars + phi + len(self.aux)
+
+    def order_ids(self) -> np.ndarray:
+        """(d, C(n,2)) array: entry [i, r] is the id of "x before y in order
+        i" for the r-th pair x < y."""
+        return 1 + np.arange(self.d)[:, None] * self.pairs + np.arange(self.pairs)
+
+    @property
+    def records(self) -> dict[int, VarMeaning]:
+        """Meaning of every variable id, in id order."""
+        meanings: list[VarMeaning] = [
+            OrderVar(order=i, x=x, y=y)
+            for i in range(self.d)
+            for x in range(self.n)
+            for y in range(x + 1, self.n)
+        ]
+        if self.free_phi:
+            meanings.extend(PhiVar(index=t) for t in range(1 << self.d))
+        meanings.extend(AuxVar(note=note) for note in self.aux)
+        return dict(enumerate(meanings, start=1))
+
+
+@dataclass(frozen=True, eq=False)
+class ClauseArray:
+    """Clauses stored flat: clause k is ``lits[offsets[k]:offsets[k + 1]]``."""
+
+    lits: np.ndarray  # int32
+    offsets: np.ndarray  # int64, length len(self) + 1, offsets[0] == 0
+
+    @classmethod
+    def from_lists(cls, clauses: list[list[int]]) -> "ClauseArray":
+        widths = np.fromiter(map(len, clauses), np.int64, len(clauses))
+        lits = np.fromiter(chain.from_iterable(clauses), np.int32, int(widths.sum()))
+        return cls(lits, np.concatenate(([0], np.cumsum(widths))))
+
+    @classmethod
+    def from_blocks(cls, blocks: list[np.ndarray]) -> "ClauseArray":
+        """Concatenate 2-D blocks, one clause per row, in block order."""
+        lits = np.concatenate([b.ravel() for b in blocks]).astype(np.int32)
+        widths = np.concatenate([np.full(len(b), b.shape[1]) for b in blocks])
+        return cls(lits, np.concatenate(([0], np.cumsum(widths))))
+
+    @property
+    def widths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClauseArray):
+            return NotImplemented
+        return np.array_equal(self.lits, other.lits) and np.array_equal(
+            self.offsets, other.offsets
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass
 class CnfInstance:
     num_vars: int
-    clauses: list[list[int]]
+    clauses: ClauseArray  # a list of int lists is converted on construction
     varmap: VarMap
 
     def __post_init__(self) -> None:
-        for c in self.clauses:
-            if not c:
-                raise BadParameter("empty clause at construction")
+        if not isinstance(self.clauses, ClauseArray):
+            self.clauses = ClauseArray.from_lists(self.clauses)
+        if (self.clauses.widths == 0).any():
+            raise BadParameter("empty clause at construction")
 
 
 @dataclass
@@ -115,6 +180,18 @@ class SatResult:
     assignment: list[bool] | None = None  # 1-based; index 0 unused
     model_verified: bool = False
     conflicts: int = 0
+
+
+def _before_table(varmap: VarMap) -> np.ndarray:
+    """before[i, x, y]: signed literal of "x before y in order i" (0 when
+    x == y)."""
+    n = varmap.n
+    xs, ys = np.triu_indices(n, 1)
+    ids = varmap.order_ids()
+    before = np.zeros((varmap.d, n, n), dtype=np.int32)
+    before[:, xs, ys] = ids
+    before[:, ys, xs] = -ids
+    return before
 
 
 def encode_bdim_sat(
@@ -128,9 +205,11 @@ def encode_bdim_sat(
     """CNF that is satisfiable iff p has a d-order realizer (with the given
     phi, when fixed).
 
-    Variable numbering is pinned: order variables first (order-major, pairs
-    in ascending (x, y) with x < y), then truth-table variables in tuple-index
-    order, so DIMACS exports are stable and self-describing via the sidecar.
+    Variable numbering is pinned (see VarMap), so DIMACS exports are stable
+    and self-describing via the sidecar.  Clause order is pinned too:
+    transitivity per order over ordered triples (x, y, z) of distinct
+    elements, then linking per ordered pair (x, y) and query tuple t, then
+    the reflexive unit.
     """
     _check_mode(mode)
     if d < 1:
@@ -145,75 +224,68 @@ def encode_bdim_sat(
         )
 
     n = p.n
-    varmap = VarMap()
-    for i in range(d):
-        for x in range(n):
-            for y in range(x + 1, n):
-                varmap.add(OrderVar(order=i, x=x, y=y))
+    varmap = VarMap(n=n, d=d, free_phi=fixed_phi is None)
+    before = _before_table(varmap)
+    x, y, z = np.indices((n, n, n)).reshape(3, -1)
+
+    # (a) transitivity per order: x before y and y before z force x before z
+    distinct = (x != y) & (x != z) & (y != z)
+    tx, ty, tz = x[distinct], y[distinct], z[distinct]
+    transitivity = np.stack(
+        [-before[:, tx, ty], -before[:, ty, tz], before[:, tx, tz]], axis=-1
+    ).reshape(-1, 3)
+
+    # (b) linking: pair (x, y) with query tuple t must answer leq[x, y].  The
+    # clause lists, for each order i, the literal that contradicts bit i of t.
+    ox, oy = np.indices((n, n)).reshape(2, -1)
+    px, py = ox[ox != oy], oy[ox != oy]
+    tuples = np.arange(1 << d)
+    flip = np.where((tuples[:, None] >> np.arange(d)) & 1, -1, 1)
+    contradict = before[:, px, py].T[:, None, :] * flip  # (pair, t, order)
+    need = p.leq[px, py].astype(bool)
     if fixed_phi is None:
-        for t in range(1 << d):
-            varmap.add(PhiVar(index=t))
-
-    clauses: list[list[int]] = []
-
-    # (a) transitivity per order, over all ordered triples of distinct elements
-    for i in range(d):
-        for x in range(n):
-            for y in range(n):
-                if y == x:
-                    continue
-                b_xy = varmap.before_literal(i, x, y)
-                for z in range(n):
-                    if z == x or z == y:
-                        continue
-                    clauses.append(
-                        [-b_xy, -varmap.before_literal(i, y, z),
-                         varmap.before_literal(i, x, z)]
-                    )
-
-    # (b) linking: pair (x, y) with query tuple t must answer leq[x, y]
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            need = bool(p.leq[x, y])
-            for t in range(1 << d):
-                contradict = [
-                    -varmap.before_literal(i, x, y)
-                    if (t >> i) & 1
-                    else varmap.before_literal(i, x, y)
-                    for i in range(d)
-                ]
-                if fixed_phi is None:
-                    lit = varmap.phi_literal(t)
-                    clauses.append(contradict + [lit if need else -lit])
-                elif fixed_phi.value_at(t) != need:
-                    clauses.append(contradict)
+        phi_ids = varmap.num_order_vars + 1 + tuples
+        phi_lit = np.where(need[:, None], phi_ids, -phi_ids)
+        linking = np.concatenate([contradict, phi_lit[:, :, None]], axis=2)
+        linking = linking.reshape(-1, d + 1)
+    else:
+        linking = contradict[fixed_phi.bits.astype(bool) != need[:, None]]
+    blocks = [transitivity, linking]
 
     # (c) reflexive queries must answer yes
     if mode == REFLEXIVE_INCLUSIVE:
         top = (1 << d) - 1
         if fixed_phi is None:
-            clauses.append([varmap.phi_literal(top)])
+            blocks.append(np.array([[varmap.num_order_vars + 1 + top]]))
         elif not fixed_phi.value_at(top):
             # Unsatisfiable by construction; encode that explicitly.
-            aux = varmap.add(AuxVar(note="reflexive-conflict"))
-            clauses.append([aux])
-            clauses.append([-aux])
+            varmap = VarMap(n=n, d=d, aux=("reflexive-conflict",))
+            aux = varmap.num_vars
+            blocks.append(np.array([[aux], [-aux]]))
 
-    return CnfInstance(num_vars=varmap.num_vars, clauses=clauses, varmap=varmap)
+    return CnfInstance(
+        num_vars=varmap.num_vars,
+        clauses=ClauseArray.from_blocks(blocks),
+        varmap=varmap,
+    )
 
 
 # ---------------------------------------------------------------------------
 # internal solver
 
 
-def check_model(clauses: list[list[int]], assignment: list[bool]) -> bool:
+def check_model(
+    clauses: ClauseArray | list[list[int]], assignment: list[bool]
+) -> bool:
     """True iff the assignment satisfies every clause."""
-    for c in clauses:
-        if not any((lit > 0) == assignment[abs(lit)] for lit in c):
-            return False
-    return True
+    if not isinstance(clauses, ClauseArray):
+        clauses = ClauseArray.from_lists(clauses)
+    if not len(clauses):
+        return True
+    lits = clauses.lits
+    value = np.asarray(assignment, dtype=bool)
+    true_lit = value[np.abs(lits)] == (lits > 0)
+    return bool(np.logical_or.reduceat(true_lit, clauses.offsets[:-1]).all())
 
 
 def _branch_order(cnf: CnfInstance) -> list[int]:
@@ -222,27 +294,115 @@ def _branch_order(cnf: CnfInstance) -> list[int]:
     For realizer instances, order variables are taken pair-major (all orders
     for pair (0,1), then pair (0,2), ...) so that each pair's complete query
     tuple is decided early and the linking clauses propagate truth-table bits
-    right away; on instances without a varmap this is plain index order.
+    right away; the remaining variables follow in index order, which is all
+    there is on instances without a varmap.
     """
-    pair_groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    rest = []
-    for vid in sorted(cnf.varmap.records):
-        rec = cnf.varmap.records[vid]
-        if isinstance(rec, OrderVar):
-            pair_groups.setdefault((rec.x, rec.y), []).append((rec.order, vid))
-        else:
-            rest.append(vid)
-    order = [
-        vid
-        for pair in sorted(pair_groups)
-        for _, vid in sorted(pair_groups[pair])
-    ]
-    order.extend(rest)
-    known = set(order)
-    order.extend(v for v in range(1, cnf.num_vars + 1) if v not in known)
-    return order
+    pair_major = cnf.varmap.order_ids().T.ravel().tolist()
+    return pair_major + list(range(len(pair_major) + 1, cnf.num_vars + 1))
 
 
+def _literal_table(
+    lits: np.ndarray,
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(ascending literal values covering lits and 0, map from literal arrays
+    to positions in that table).
+
+    The table spans -top..top when ids are dense; otherwise it holds only the
+    distinct values, so one huge id does not cost memory in proportion.
+    """
+    top = int(np.abs(lits).max(initial=0))
+    if top <= max(len(lits), 1 << 16):
+        return np.arange(-top, top + 1), lambda a: a + top
+    values = np.union1d(lits, [0])
+    return values, lambda a: np.searchsorted(values, a)
+
+
+def _solver_clauses(
+    clauses: ClauseArray,
+) -> tuple[list[list[int]], list[int], np.ndarray]:
+    """(clauses with two or more literals, unit literals, first two literals
+    of each kept clause), all in input order.
+
+    Repeated literals are dropped (first occurrence kept) and tautologies
+    removed.  Rows with a repeated variable are rare and take a Python path;
+    every other row is copied in blocks of equal width.  The lists share one
+    int object per literal value instead of one per occurrence.
+    """
+    values, position = _literal_table(clauses.lits)
+    shared = values.astype(object)
+    kept: list[list[int]] = []
+    units: list[int] = []
+    heads: list[np.ndarray] = [np.empty((0, 2), dtype=np.int32)]
+    widths = clauses.widths
+    bounds = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a == b:
+            continue
+        w = int(widths[a])
+        block = clauses.lits[clauses.offsets[a] : clauses.offsets[b]].reshape(-1, w)
+        rows = shared[position(block)].tolist()
+        if w == 1:
+            units.extend(lit for (lit,) in rows)
+            continue
+        # rows where a variable repeats: a duplicate or complementary literal
+        var = np.sort(np.abs(block), axis=1)
+        marked = np.flatnonzero((var[:, 1:] == var[:, :-1]).any(axis=1))
+        prev = 0
+        for k in marked.tolist():
+            kept.extend(rows[prev:k])
+            heads.append(block[prev:k, :2])
+            prev = k + 1
+            lits = list(dict.fromkeys(rows[k]))
+            if any(-lit in lits for lit in lits):
+                continue  # tautology
+            if len(lits) == 1:
+                units.append(lits[0])
+            else:
+                kept.append(lits)
+                heads.append(np.array([lits[:2]], dtype=np.int32))
+        kept.extend(rows[prev:])
+        heads.append(block[prev:, :2])
+    return kept, units, np.concatenate(heads)
+
+
+def _watch_lists(heads: np.ndarray) -> dict[int, list[int]]:
+    """Literal -> indices of the clauses watching it, ascending."""
+    keys = heads.ravel()
+    if not len(keys):
+        return {}
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    clause_ids = np.arange(len(heads)).astype(object)  # shared by both watches
+    owners = clause_ids[order // 2].tolist()
+    cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, len(owners)]
+    return {
+        lit: owners[s:e] for lit, s, e in zip(keys[starts].tolist(), starts, ends)
+    }
+
+
+def _gc_paused(fn):
+    """Run fn with the cyclic garbage collector paused.
+
+    The solver builds millions of small lists and makes no reference cycles
+    per step, so full collections over its growing heap are pure overhead
+    that grows with the instance.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return wrapper
+
+
+@_gc_paused
 def internal_sat_solve(
     cnf: CnfInstance, conflict_limit: int | None = None
 ) -> SatResult:
@@ -253,26 +413,11 @@ def internal_sat_solve(
     being returned; exceeding conflict_limit yields status "unknown".
     """
     nvars = cnf.num_vars
-    clauses: list[list[int]] = []
-    units: list[int] = []
-    for c in cnf.clauses:
-        lits = list(dict.fromkeys(c))
-        if not lits:
-            return SatResult(status="unsat")
-        if any(-lit in lits for lit in lits):
-            continue  # tautology
-        if len(lits) == 1:
-            units.append(lits[0])
-        else:
-            clauses.append(lits)
+    clauses, units, heads = _solver_clauses(cnf.clauses)
 
     assign = [0] * (nvars + 1)  # 0 unassigned, +1 true, -1 false
-    watches: dict[int, list[int]] = {}
-    watched: list[list[int]] = []
-    for ci, lits in enumerate(clauses):
-        watched.append([lits[0], lits[1]])
-        watches.setdefault(lits[0], []).append(ci)
-        watches.setdefault(lits[1], []).append(ci)
+    watches = _watch_lists(heads)
+    watched = [c[:2] for c in clauses]
 
     trail: list[int] = []
     qhead = 0
@@ -371,19 +516,50 @@ def internal_sat_solve(
 # ---------------------------------------------------------------------------
 # DIMACS, sidecar, external solver
 
+_DIMACS_CHUNK = 1 << 16  # clauses per written chunk
+
+
+def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
+    """DIMACS text in chunks: the header, then one clause per line.
+
+    Each literal maps to a precomputed token ("12 ", "-3 "; literal 0 stands
+    for the clause terminator "0\\n"), and a chunk is one gather from the
+    token bytes.
+    """
+    lits, offsets = cnf.clauses.lits, cnf.clauses.offsets
+    yield f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n".encode()
+    values, position = _literal_table(lits)
+    tokens = [b"%d " % v for v in values.tolist()]
+    tokens[np.searchsorted(values, 0)] = b"0\n"
+    size = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    start = np.cumsum(size) - size
+    blob = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    for c0 in range(0, len(cnf.clauses), _DIMACS_CHUNK):
+        c1 = min(c0 + _DIMACS_CHUNK, len(cnf.clauses))
+        lo = offsets[c0]
+        items = np.insert(lits[lo : offsets[c1]], offsets[c0 + 1 : c1 + 1] - lo, 0)
+        tok = position(items)
+        tok_size = size[tok]
+        end = np.cumsum(tok_size)
+        src = np.repeat(start[tok] - (end - tok_size), tok_size) + np.arange(end[-1])
+        yield blob[src].tobytes()
+
 
 def to_dimacs(cnf: CnfInstance) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for c in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in c) + " 0")
-    return "\n".join(lines) + "\n"
+    """The DIMACS text of cnf as one string; write_dimacs streams it instead."""
+    return b"".join(_dimacs_chunks(cnf)).decode("ascii")
+
+
+def write_dimacs(cnf: CnfInstance, path: str | Path) -> None:
+    """Stream the DIMACS text of cnf to path, chunk by chunk."""
+    with open(path, "wb") as fh:
+        fh.writelines(_dimacs_chunks(cnf))
 
 
 def varmap_sidecar(varmap: VarMap) -> str:
     """Self-describing companion to a DIMACS export (order indices 1-based)."""
     lines = []
-    for vid in sorted(varmap.records):
-        rec = varmap.records[vid]
+    for vid, rec in varmap.records.items():
         if isinstance(rec, OrderVar):
             lines.append(f"var {vid} order {rec.order + 1} before {rec.x} {rec.y}")
         elif isinstance(rec, PhiVar):
@@ -393,12 +569,22 @@ def varmap_sidecar(varmap: VarMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(token: str, error: type[Exception] = ParseError) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"bad number {token!r} in DIMACS or solver output") from None
+
+
 def parse_dimacs(text: str) -> CnfInstance:
-    """Parse a DIMACS CNF document (comments allowed, no varmap recovered)."""
+    """Parse a DIMACS CNF document (comments allowed, no varmap recovered).
+
+    Every literal must name a variable in 1..num_vars.
+    """
     num_vars = None
     expected_clauses = None
-    clauses: list[list[int]] = []
-    pending: list[int] = []
+    lits: list[int] = []
+    offsets = [0]
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -407,25 +593,31 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad DIMACS header: {line!r}")
-            num_vars, expected_clauses = int(parts[2]), int(parts[3])
+            num_vars, expected_clauses = map(_parse_int, parts[2:])
+            if not 0 <= num_vars <= _MAX_VARS:
+                raise ParseError(f"DIMACS variable count {num_vars} out of range")
             continue
         if num_vars is None:
             raise ParseError("clause before DIMACS header")
         for tok in line.split():
-            lit = int(tok)
+            lit = _parse_int(tok)
             if lit == 0:
-                clauses.append(pending)
-                pending = []
+                offsets.append(len(lits))
+            elif abs(lit) > num_vars:
+                raise ParseError(
+                    f"literal {lit} out of range for {num_vars} variables"
+                )
             else:
-                pending.append(lit)
-    if pending:
+                lits.append(lit)
+    if len(lits) > offsets[-1]:
         raise ParseError("unterminated clause at end of DIMACS input")
     if num_vars is None:
         raise ParseError("missing DIMACS header")
-    if expected_clauses != len(clauses):
+    if expected_clauses != len(offsets) - 1:
         raise ParseError(
-            f"header promises {expected_clauses} clauses, found {len(clauses)}"
+            f"header promises {expected_clauses} clauses, found {len(offsets) - 1}"
         )
+    clauses = ClauseArray(np.array(lits, dtype=np.int32), np.array(offsets))
     return CnfInstance(num_vars=num_vars, clauses=clauses, varmap=VarMap())
 
 
@@ -444,7 +636,9 @@ def parse_solver_output(text: str, num_vars: int) -> SatResult:
             elif tag.startswith("UNKNOWN"):
                 status = "unknown"
         elif line.startswith("v ") or line == "v":
-            values.extend(int(tok) for tok in line[1:].split())
+            values.extend(
+                _parse_int(tok, UnparseableOutput) for tok in line[1:].split()
+            )
     if status is None:
         raise UnparseableOutput("no recognizable 's' result line in solver output")
     if status != "sat":
@@ -468,7 +662,7 @@ def run_external_solver(
     """
     with tempfile.TemporaryDirectory(prefix="posetdim-sat-") as tmp:
         path = Path(tmp) / "instance.cnf"
-        path.write_text(to_dimacs(cnf))
+        write_dimacs(cnf, path)
         if "{cnf}" in solver_command:
             command = solver_command.replace("{cnf}", str(path))
         else:
@@ -482,7 +676,14 @@ def run_external_solver(
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise SolverLaunchFailed(f"could not run {command!r}: {exc}") from exc
-    result = parse_solver_output(proc.stdout, cnf.num_vars)
+    try:
+        result = parse_solver_output(proc.stdout, cnf.num_vars)
+    except UnparseableOutput as exc:
+        stderr_lines = proc.stderr.strip().splitlines()
+        last = stderr_lines[-1] if stderr_lines else ""
+        raise UnparseableOutput(
+            f"{exc} (solver exit code {proc.returncode}, last stderr line: {last!r})"
+        ) from None
     if result.status == "sat":
         if not check_model(cnf.clauses, result.assignment):
             raise ModelCheckFailed("external solver model violates a clause")
@@ -506,15 +707,18 @@ def decode_model(
     fails hard on any mismatch, which would indicate an encoder bug or a
     tampered model."""
     n = p.n
-    before_count = np.zeros((d, n), dtype=np.int64)
-    for vid, rec in varmap.records.items():
-        if isinstance(rec, OrderVar):
-            if assignment[vid]:
-                before_count[rec.order, rec.y] += 1
-            else:
-                before_count[rec.order, rec.x] += 1
+    if (varmap.n, varmap.d) != (n, d) or (fixed_phi is None and not varmap.free_phi):
+        raise DecodeInconsistent(
+            f"varmap numbers n={varmap.n}, d={varmap.d}, free phi={varmap.free_phi}; "
+            f"decoding needs n={n}, d={d}, free phi={fixed_phi is None}"
+        )
+    value = np.asarray(assignment, dtype=bool)
+    # per order and pair x < y, the element placed second; an element's rank
+    # is the number of pairs in which it comes second
+    xs, ys = np.triu_indices(n, 1)
+    second = np.where(value[varmap.order_ids()], ys, xs)
     try:
-        orders = tuple(LinearOrder(rank=before_count[i]) for i in range(d))
+        orders = tuple(LinearOrder(rank=np.bincount(s, minlength=n)) for s in second)
     except BadParameter as exc:
         raise DecodeInconsistent(
             f"order variables do not form total orders: {exc}"
@@ -522,10 +726,8 @@ def decode_model(
     if fixed_phi is not None:
         phi = fixed_phi
     else:
-        bits = np.array(
-            [int(assignment[varmap.phi_literal(t)]) for t in range(1 << d)],
-            dtype=np.uint8,
-        )
+        first_phi = varmap.num_order_vars + 1
+        bits = value[first_phi : first_phi + (1 << d)].astype(np.uint8)
         phi = TruthTable(arity=d, bits=bits)
     realizer = BooleanRealizer(n=n, orders=orders, phi=phi)
     outcome = verify(p, realizer, mode)
@@ -545,6 +747,7 @@ class SearchReport:
     cnf_path: str | None = None
     varmap_path: str | None = None
     unsat_verified: bool = False  # unsat from the internal solver is complete
+    conflicts: int = 0  # internal solver only
 
 
 def search_realizer(
@@ -577,7 +780,7 @@ def search_realizer(
             raise BadParameter("emit engine needs emit_path")
         cnf_path = Path(emit_path)
         varmap_path = cnf_path.with_suffix(cnf_path.suffix + ".varmap")
-        cnf_path.write_text(to_dimacs(cnf))
+        write_dimacs(cnf, cnf_path)
         varmap_path.write_text(varmap_sidecar(cnf.varmap))
         return SearchReport(
             status="emitted",
@@ -609,4 +812,5 @@ def search_realizer(
         num_vars=cnf.num_vars,
         num_clauses=len(cnf.clauses),
         unsat_verified=unsat_verified and result.status == "unsat",
+        conflicts=result.conflicts,
     )

@@ -210,6 +210,15 @@ class TestSatCommand:
         code, _, err = run(capsys, "sat", "boolean:2", "--d", "2", "--engine", "emit")
         assert code == 2
 
+    def test_failing_external_solver(self, capsys):
+        code, out, err = run(
+            capsys, "sat", "chain:2", "--d", "1", "--engine", "external",
+            "--solver", "sh -c 'echo boom >&2; exit 3'",
+        )
+        assert code == 4 and out == ""
+        assert "no recognizable 's' result line" in err
+        assert "exit code 3" in err and "boom" in err
+
     def test_external_needs_solver(self, capsys):
         code, _, _ = run(
             capsys, "sat", "boolean:2", "--d", "2", "--engine", "external"

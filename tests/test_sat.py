@@ -18,6 +18,7 @@ from posetdim.errors import (
     SolverLaunchFailed,
     UnparseableOutput,
 )
+from posetdim.formats import parse_poset_spec
 from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
 from posetdim.sat import (
     CnfInstance,
@@ -85,6 +86,81 @@ class TestEncoding:
         phi = pd.TruthTable(arity=1, bits=np.array([1, 0], np.uint8))
         cnf = pd.encode_bdim_sat(pd.chain(2), 1, fixed_phi=phi)
         assert internal_sat_solve(cnf).status == "unsat"
+
+
+def _loop_encode(p, d, fixed_phi, mode):
+    """Clause lists built one literal at a time: the reference the array
+    encoder must match clause for clause."""
+    n = p.n
+    pairs = n * (n - 1) // 2
+    rank = {(x, y): r for r, (x, y) in enumerate(
+        (x, y) for x in range(n) for y in range(x + 1, n))}
+
+    def before(i, x, y):
+        return 1 + i * pairs + rank[(x, y)] if x < y else -before(i, y, x)
+
+    phi_base = 1 + d * pairs
+    clauses = []
+    for i in range(d):
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if len({x, y, z}) == 3:
+                        clauses.append(
+                            [-before(i, x, y), -before(i, y, z), before(i, x, z)]
+                        )
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            need = bool(p.leq[x, y])
+            for t in range(1 << d):
+                lits = [-before(i, x, y) if (t >> i) & 1 else before(i, x, y)
+                        for i in range(d)]
+                if fixed_phi is None:
+                    clauses.append(lits + [phi_base + t if need else -(phi_base + t)])
+                elif fixed_phi.value_at(t) != need:
+                    clauses.append(lits)
+    top = (1 << d) - 1
+    if mode == REFLEXIVE_INCLUSIVE:
+        if fixed_phi is None:
+            clauses.append([phi_base + top])
+        elif not fixed_phi.value_at(top):
+            clauses.extend([[phi_base], [-phi_base]])
+    return clauses
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("spec", ["chain:1", "chain:3", "antichain:3",
+                                      "boolean:2", "standard:3", "grid:2x3"])
+    @pytest.mark.parametrize("mode", [REFLEXIVE_INCLUSIVE, DISTINCT_ONLY])
+    def test_encoder_matches_loop_encoder(self, spec, mode):
+        p = parse_poset_spec(spec)
+        for d in (1, 2, 3):
+            zero = pd.TruthTable(arity=d, bits=np.zeros(1 << d, np.uint8))
+            for phi in (None, pd.and_function(d), pd.threshold_at_most_one_zero(d),
+                        zero):
+                cnf = pd.encode_bdim_sat(p, d, fixed_phi=phi, mode=mode)
+                want = _loop_encode(p, d, phi, mode)
+                assert cnf.clauses == CnfInstance(0, want, VarMap()).clauses, (d, phi)
+
+    def test_check_model_matches_loop_check(self):
+        import random
+
+        rng = random.Random(3)
+        outcomes = set()
+        for _ in range(300):
+            nv = rng.randint(1, 5)
+            clauses = [
+                [rng.choice((1, -1)) * rng.randint(1, nv)
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(0, 4))
+            ]
+            model = [False] + [rng.random() < 0.5 for _ in range(nv)]
+            want = all(any((lit > 0) == model[abs(lit)] for lit in c) for c in clauses)
+            assert check_model(clauses, model) == want, (clauses, model)
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestInternalSolver:
@@ -196,6 +272,25 @@ class TestDimacsFormats:
         assert lines[1] == "var 2 phi 0"
         assert lines[2] == "var 3 phi 1"
 
+    def test_sparse_ids_round_trip(self):
+        cnf = CnfInstance(3_000_000, [[2_999_999, -1], [7]], VarMap())
+        text = to_dimacs(cnf)
+        assert text == "p cnf 3000000 2\n2999999 -1 0\n7 0\n"
+        assert parse_dimacs(text).clauses == cnf.clauses
+
+    @pytest.mark.parametrize("body", ["1 5 0\n", "5 1 0\n", "-1 -3 0\n"])
+    def test_parse_rejects_out_of_range_literal(self, body):
+        with pytest.raises(ParseError, match="out of range"):
+            parse_dimacs("p cnf 2 1\n" + body)
+
+    def test_parse_rejects_bad_counts_and_tokens(self):
+        with pytest.raises(ParseError, match="out of range"):
+            parse_dimacs("p cnf -1 0\n")
+        with pytest.raises(ParseError):
+            parse_dimacs("p cnf x 1\n1 0\n")
+        with pytest.raises(ParseError):
+            parse_dimacs("p cnf 2 1\n1 y 0\n")
+
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ParseError):
             parse_dimacs("p dnf 1 1\n1 0\n")
@@ -209,6 +304,8 @@ class TestDimacsFormats:
         assert parse_solver_output("s UNSATISFIABLE\n", 2).status == "unsat"
         with pytest.raises(UnparseableOutput):
             parse_solver_output("no result here\n", 2)
+        with pytest.raises(UnparseableOutput):
+            parse_solver_output("s SATISFIABLE\nv 1 x 0\n", 2)
 
 
 def _script(tmp_path, name, body):
@@ -268,6 +365,17 @@ class TestExternalSolver:
         result = pd.run_external_solver(cnf, f"{sys.executable} {script} {{cnf}}")
         assert result.status == "unsat" and not result.model_verified
 
+    def test_failed_solver_reports_exit_code_and_stderr(self):
+        cnf = CnfInstance(1, [[1]], VarMap())
+        with pytest.raises(UnparseableOutput) as info:
+            pd.run_external_solver(
+                cnf, "sh -c 'echo ignored >&2; echo boom >&2; exit 3'"
+            )
+        message = str(info.value)
+        assert "no recognizable 's' result line" in message
+        assert "exit code 3" in message and "'boom'" in message
+        assert "ignored" not in message
+
     def test_garbage_output(self, tmp_path):
         script = _script(tmp_path, "mumbler.py", 'print("hello world")\n')
         cnf = CnfInstance(1, [[1]], VarMap())
@@ -286,6 +394,7 @@ class TestSearchRealizer:
     def test_b2_d1_unsat(self):
         report = pd.search_realizer(pd.boolean_lattice(2), 1)
         assert report.status == "unsat" and report.unsat_verified
+        assert report.conflicts == 1
 
     def test_chain_d1(self):
         report = pd.search_realizer(pd.chain(3), 1)
