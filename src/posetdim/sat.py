@@ -100,6 +100,11 @@ class VarMap:
         return self.d * self.pairs
 
     @property
+    def first_phi(self) -> int:
+        """Id of the truth-table variable for tuple 0, when phi is free."""
+        return self.num_order_vars + 1
+
+    @property
     def num_vars(self) -> int:
         phi = 1 << self.d if self.free_phi else 0
         return self.num_order_vars + phi + len(self.aux)
@@ -244,7 +249,7 @@ def encode_bdim_sat(
     contradict = before[:, px, py].T[:, None, :] * flip  # (pair, t, order)
     need = p.leq[px, py].astype(bool)
     if fixed_phi is None:
-        phi_ids = varmap.num_order_vars + 1 + tuples
+        phi_ids = varmap.first_phi + tuples
         phi_lit = np.where(need[:, None], phi_ids, -phi_ids)
         linking = np.concatenate([contradict, phi_lit[:, :, None]], axis=2)
         linking = linking.reshape(-1, d + 1)
@@ -256,7 +261,7 @@ def encode_bdim_sat(
     if mode == REFLEXIVE_INCLUSIVE:
         top = (1 << d) - 1
         if fixed_phi is None:
-            blocks.append(np.array([[varmap.num_order_vars + 1 + top]]))
+            blocks.append(np.array([[varmap.first_phi + top]]))
         elif not fixed_phi.value_at(top):
             # Unsatisfiable by construction; encode that explicitly.
             varmap = VarMap(n=n, d=d, aux=("reflexive-conflict",))
@@ -726,8 +731,8 @@ def decode_model(
     if fixed_phi is not None:
         phi = fixed_phi
     else:
-        first_phi = varmap.num_order_vars + 1
-        bits = value[first_phi : first_phi + (1 << d)].astype(np.uint8)
+        bits = value[varmap.first_phi : varmap.first_phi + (1 << d)]
+        bits = bits.astype(np.uint8)
         phi = TruthTable(arity=d, bits=bits)
     realizer = BooleanRealizer(n=n, orders=orders, phi=phi)
     outcome = verify(p, realizer, mode)
