@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="singletons",
         help="'singletons' or a comma-separated index list (default: singletons)",
     )
-    p_sig.add_argument("--threads", type=int, default=1)
     p_sig.set_defaults(func=cmd_signatures)
 
     p_exact = sub.add_parser("exact", help="brute-force exact dim or bdim")

@@ -41,10 +41,6 @@ class NotAnExtension(ToolkitError):
     """A linear order fails to extend the poset relation."""
 
 
-class PreconditionFailed(ToolkitError):
-    """A checked input realizer failed verification."""
-
-
 class NotDistinguishing(ToolkitError):
     """The given set does not distinguish every pair of elements."""
 

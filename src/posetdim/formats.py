@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ParseError, ToolkitError, UsageError
 from .poset import (
+    MAX_ELEMENTS,
     LinearOrder,
     Poset,
     antichain,
@@ -48,6 +49,12 @@ def serialize_poset(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_size(n: int) -> None:
+    """Reject a declared element count before anything is sized by it."""
+    if not 1 <= n <= MAX_ELEMENTS:
+        raise ParseError(f"n={n} is outside 1..{MAX_ELEMENTS}")
+
+
 def parse_poset(text: str) -> Poset:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or lines[0] != "poset v1":
@@ -61,6 +68,7 @@ def parse_poset(text: str) -> Poset:
             key, _, rest = ln.partition(" ")
             if key == "n":
                 n = int(rest)
+                _check_size(n)
                 labels = [str(i) for i in range(n)]
             elif key == "label":
                 if labels is None:
@@ -88,7 +96,7 @@ def parse_poset(text: str) -> Poset:
     if mode is None:
         raise ParseError("missing mode line")
     try:
-        return from_relation_pairs(n, labels, pairs, mode=mode)
+        return from_relation_pairs(n, labels, pairs)
     except ToolkitError as exc:
         raise ParseError(f"invalid poset data: {exc}") from exc
 
@@ -110,6 +118,7 @@ def parse_realizer(text: str) -> BooleanRealizer:
         if len(lines) < 3 or not lines[1].startswith("n ") or not lines[2].startswith("d "):
             raise ParseError("expected n and d lines after the header")
         n = int(lines[1][2:])
+        _check_size(n)
         d = int(lines[2][2:])
         if len(lines) != 3 + d + 1:
             raise ParseError(f"expected {d} order lines plus a phi line")

@@ -1,6 +1,8 @@
 """Finite posets as dense relation matrices, plus the constructions used
 throughout the toolkit: Boolean lattices, multiset grids, standard examples,
-products, induced subposets, linear extensions, and block isomorphisms.
+products, induced subposets and linear extensions.  The block decomposition
+of a Boolean lattice is a bit permutation of element indices and builds no
+poset.
 
 Conventions pinned here and relied on by file formats and realizer transport:
 
@@ -9,12 +11,15 @@ Conventions pinned here and relied on by file formats and realizer transport:
 * multiset grid: vector ``v`` in ``{0..m-1}**n`` has index ``sum(v[i]*m**i)``
   (coordinate 1 is the least significant digit);
 * product: pair ``(p, q)`` has index ``p * |Q| + q``.
+
+Index order is a linear extension of every Boolean lattice, every grid and
+every index-encoded product of such posets: there ``x <= y`` in the poset
+implies ``x <= y`` as integers.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +35,6 @@ from .errors import (
 #: Hard cap on ground-set size; keeps every leq matrix byte-addressable and
 #: the exhaustive pair scans tractable.
 MAX_ELEMENTS = 8192
-
-
-class Relation(enum.Enum):
-    """How two elements of a poset compare."""
-
-    EQUAL = "equal"
-    LESS = "less"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -116,17 +112,14 @@ def from_relation_pairs(
     n: int,
     labels: list[str] | None,
     pairs: list[tuple[int, int]],
-    mode: str = "covers",
 ) -> Poset:
     """Build a poset from relation pairs ``i <= j`` by reflexive-transitive
     closure.
 
-    Both modes accept arbitrary relation pairs and closure identically; the
-    ``mode`` tag only records how the input was meant.  A directed cycle
-    through two or more distinct elements is rejected rather than quotiented.
+    Cover pairs and full relation pairs give the same poset.  A directed
+    cycle through two or more distinct elements is rejected rather than
+    quotiented.
     """
-    if mode not in ("covers", "relation"):
-        raise BadParameter(f"unknown closure mode {mode!r}")
     if n < 1:
         raise BadParameter(f"n must be positive, got {n}")
     if n > MAX_ELEMENTS:
@@ -255,28 +248,14 @@ def antichain(k: int) -> Poset:
     return _make(np.eye(k, dtype=bool), _default_labels(k))
 
 
-@dataclass(frozen=True)
-class ProductPairing:
-    """Bijection between product indices and factor index pairs."""
-
-    p_size: int
-    q_size: int
-
-    def index(self, p: int, q: int) -> int:
-        return p * self.q_size + q
-
-    def split(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.q_size)
-
-
-def product(p: Poset, q: Poset) -> tuple[Poset, ProductPairing]:
+def product(p: Poset, q: Poset) -> Poset:
     """Componentwise-order product; pair ``(a, b)`` gets index ``a*|Q| + b``."""
     size = p.n * q.n
     if size > MAX_ELEMENTS:
         raise SizeCap(f"{p.n}*{q.n} = {size} exceeds the cap of {MAX_ELEMENTS}")
     leq = np.kron(p.leq, q.leq).astype(bool)
     labels = [f"({pl},{ql})" for pl in p.labels for ql in q.labels]
-    return _make(leq, labels), ProductPairing(p.n, q.n)
+    return _make(leq, labels)
 
 
 def subposet(p: Poset, keep: list[int] | set[int]) -> Poset:
@@ -289,19 +268,6 @@ def subposet(p: Poset, keep: list[int] | set[int]) -> Poset:
     leq = p.leq[np.ix_(sel, sel)].copy()
     labels = [p.labels[i] for i in kept]
     return _make(leq, labels)
-
-
-def relation(p: Poset, x: int, y: int) -> Relation:
-    """Classify the pair (x, y) as Equal/Less/Greater/Incomparable."""
-    p._check_index(x, y)
-    below, above = bool(p.leq[x, y]), bool(p.leq[y, x])
-    if below and above:
-        return Relation.EQUAL
-    if below:
-        return Relation.LESS
-    if above:
-        return Relation.GREATER
-    return Relation.INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------
@@ -414,42 +380,14 @@ def is_linear_extension(p: Poset, order: LinearOrder) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# isomorphisms
+# block decomposition
 
 
-@dataclass(frozen=True, eq=False)
-class Isomorphism:
-    """Index bijection between two posets, stored as the forward map."""
-
-    source: Poset
-    target: Poset
-    forward: np.ndarray = field()  # target_index = forward[source_index]
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.forward, dtype=np.int64)
-        if self.source.n != self.target.n:
-            raise SizeMismatch("source and target have different sizes")
-        if not np.array_equal(np.sort(f), np.arange(self.source.n)):
-            raise BadParameter("forward map must be a bijection")
-        object.__setattr__(self, "forward", _freeze(f))
-
-    def apply(self, x: int) -> int:
-        return int(self.forward[x])
-
-    def inverse(self) -> "Isomorphism":
-        inv = np.empty_like(self.forward)
-        inv[self.forward] = np.arange(len(self.forward))
-        return Isomorphism(source=self.target, target=self.source, forward=inv)
-
-    def is_order_preserving(self) -> bool:
-        """Full pair scan: leq agrees through the map in both directions."""
-        f = self.forward
-        return np.array_equal(self.source.leq, self.target.leq[f[:, None], f[None, :]])
-
-
-def block_decomposition_iso(n: int, block_sizes: list[int]) -> Isomorphism:
-    """Isomorphism from the order-n Boolean lattice onto the left-nested
-    product of Boolean lattices over consecutive coordinate blocks.
+def block_decomposition_iso(n: int, block_sizes: list[int]) -> np.ndarray:
+    """Forward map of the order isomorphism from the order-n Boolean lattice
+    onto the left-nested product of Boolean lattices over consecutive
+    coordinate blocks: a read-only int64 array whose entry ``x`` is the
+    product index of lattice element ``x``.  No poset is built.
 
     Block 1 covers coordinates 1..b1, block 2 the next b2 coordinates, and so
     on; within a block the local subset encoding applies.  The nested product
@@ -468,11 +406,7 @@ def block_decomposition_iso(n: int, block_sizes: list[int]) -> Isomorphism:
     forward = np.zeros(size, dtype=np.int64)
     for b, off in zip(block_sizes, offsets):
         forward = (forward << b) | ((idx >> int(off)) & ((1 << b) - 1))
-
-    target = boolean_lattice(block_sizes[0])
-    for b in block_sizes[1:]:
-        target, _ = product(target, boolean_lattice(b))
-    return Isomorphism(source=boolean_lattice(n), target=target, forward=forward)
+    return _freeze(forward)
 
 
 def strict_cover_pairs(p: Poset) -> list[tuple[int, int]]:

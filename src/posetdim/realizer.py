@@ -18,20 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import b6_data
-from .errors import BadArity, NotAnExtension, PreconditionFailed, SizeCap, SizeMismatch
+from .errors import BadArity, BadParameter, NotAnExtension, SizeCap, SizeMismatch
 from .poset import (
     MAX_ELEMENTS,
-    Isomorphism,
     LinearOrder,
     Poset,
     _freeze,
     block_decomposition_iso,
-    boolean_lattice,
     grid_coordinates,
     is_linear_extension,
     multiset_grid,
-    product,
-    some_linear_extension,
 )
 
 #: Verification modes.  The default additionally requires phi(1,...,1) = 1,
@@ -48,7 +44,7 @@ _CHUNK_CELLS = 1 << 22  # target cells per row-chunk in the pair scan
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
-        raise ValueError(f"unknown verification mode {mode!r}")
+        raise BadParameter(f"unknown verification mode {mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,60 +271,58 @@ def b6_realizer() -> BooleanRealizer:
 
 
 def compose_product(
-    p: Poset,
-    q: Poset,
     r_p: BooleanRealizer,
     r_q: BooleanRealizer,
-    check_inputs: bool = False,
+    ext_p: LinearOrder,
+    ext_q: LinearOrder,
 ) -> BooleanRealizer:
-    """Realizer of product(p, q) with d = r_p.d + r_q.d orders.
+    """Realizer of product(P, Q) with d = r_p.d + r_q.d orders, given
+    realizers of P and Q and linear extensions of P and Q.
 
-    The first s orders sort pairs by the corresponding p-order, breaking ties
-    with the pinned linear extension of q; the remaining t orders do the
-    symmetric thing.  The combined phi is the conjunction phi_p AND phi_q with
-    the p bits in tuple positions 1..s.  Correctness needs both inputs to
-    verify in reflexive_inclusive mode (in particular phi(all-ones) = 1);
-    pass check_inputs=True to enforce that up front.
+    The first s orders sort pairs by the corresponding P-order, breaking ties
+    with ext_q; the remaining t orders do the symmetric thing with ext_p.  The
+    combined phi is the conjunction phi_p AND phi_q with the P bits in tuple
+    positions 1..s.  Correctness needs both inputs to verify in
+    reflexive_inclusive mode (in particular phi(all-ones) = 1) and each
+    extension to extend its factor; neither is checked here.
     """
-    if r_p.n != p.n or r_q.n != q.n:
-        raise SizeMismatch("realizer ground sets must match the factor posets")
-    if p.n * q.n > MAX_ELEMENTS:
-        raise SizeCap(f"{p.n}*{q.n} exceeds the cap of {MAX_ELEMENTS}")
-    if check_inputs:
-        for poset_, rlz, tag in ((p, r_p, "P"), (q, r_q, "Q")):
-            outcome = verify(poset_, rlz, REFLEXIVE_INCLUSIVE)
-            if not outcome.ok:
-                raise PreconditionFailed(f"input realizer for {tag} fails verification")
+    if ext_p.n != r_p.n or ext_q.n != r_q.n:
+        raise SizeMismatch("extensions must cover their realizers' ground sets")
+    p_n, q_n = r_p.n, r_q.n
+    if p_n * q_n > MAX_ELEMENTS:
+        raise SizeCap(f"{p_n}*{q_n} exceeds the cap of {MAX_ELEMENTS}")
 
-    if p.n == 1:
-        return BooleanRealizer(n=q.n, orders=r_q.orders, phi=r_q.phi)
-    if q.n == 1:
-        return BooleanRealizer(n=p.n, orders=r_p.orders, phi=r_p.phi)
+    if p_n == 1:
+        return BooleanRealizer(n=q_n, orders=r_q.orders, phi=r_q.phi)
+    if q_n == 1:
+        return BooleanRealizer(n=p_n, orders=r_p.orders, phi=r_p.phi)
 
-    ext_p = some_linear_extension(p).rank
-    ext_q = some_linear_extension(q).rank
-    idx = np.arange(p.n * q.n)
-    pp, qq = idx // q.n, idx % q.n
+    idx = np.arange(p_n * q_n)
+    pp, qq = idx // q_n, idx % q_n
 
     orders = [
-        LinearOrder(rank=o.rank[pp] * q.n + ext_q[qq]) for o in r_p.orders
+        LinearOrder(rank=o.rank[pp] * q_n + ext_q.rank[qq]) for o in r_p.orders
     ] + [
-        LinearOrder(rank=o.rank[qq] * p.n + ext_p[pp]) for o in r_q.orders
+        LinearOrder(rank=o.rank[qq] * p_n + ext_p.rank[pp]) for o in r_q.orders
     ]
     phi_bits = np.kron(r_q.phi.bits, r_p.phi.bits)
     phi = TruthTable(arity=r_p.d + r_q.d, bits=phi_bits)
-    return BooleanRealizer(n=p.n * q.n, orders=tuple(orders), phi=phi)
+    return BooleanRealizer(n=p_n * q_n, orders=tuple(orders), phi=phi)
 
 
-def transport(r: BooleanRealizer, iso: Isomorphism) -> BooleanRealizer:
-    """Relabel a realizer through an isomorphism (source must be r's ground
-    set); verification status carries over."""
-    if iso.source.n != r.n:
-        raise SizeMismatch(f"iso source has {iso.source.n} elements, realizer {r.n}")
+def transport(r: BooleanRealizer, forward: np.ndarray) -> BooleanRealizer:
+    """Relabel a realizer through an isomorphism given as its forward map
+    (element x of r's ground set becomes ``forward[x]``); verification status
+    carries over."""
+    f = np.asarray(forward, dtype=np.int64)
+    if f.shape != (r.n,):
+        raise SizeMismatch(f"forward map has shape {f.shape}, realizer {r.n} elements")
+    if not np.array_equal(np.sort(f), np.arange(r.n)):
+        raise BadParameter("forward map must be a bijection")
     orders = []
     for o in r.orders:
         rank = np.empty_like(o.rank)
-        rank[iso.forward] = o.rank
+        rank[f] = o.rank
         orders.append(LinearOrder(rank=rank))
     return BooleanRealizer(n=r.n, orders=tuple(orders), phi=r.phi)
 
@@ -338,12 +332,15 @@ def upper_bound_realizer(n: int) -> BooleanRealizer:
 
     For n >= 6, write n = 6k + r and compose k copies of the bundled 5-order
     realizer with the canonical r-order realizer (dropping the factor when
-    r = 0), then transport the result through the block-decomposition
-    isomorphism.  For n < 6 the canonical n-order realizer already meets the
+    r = 0), then transport the result from the nested product back onto the
+    lattice through the block-decomposition bit permutation.  Index order
+    extends every lattice and every index-encoded product of lattices, so the
+    identity serves as each factor's linear extension and no poset is built.
+    For n < 6 the canonical n-order realizer already meets the
     ceil(5n/6) = n budget.
     """
     if n < 0:
-        raise SizeCap(f"n must be >= 0, got {n}")
+        raise BadParameter(f"n must be >= 0, got {n}")
     if (1 << n) > MAX_ELEMENTS:
         raise SizeCap(f"2**{n} exceeds the cap of {MAX_ELEMENTS}")
     if n == 0:
@@ -355,14 +352,14 @@ def upper_bound_realizer(n: int) -> BooleanRealizer:
 
     k, r = divmod(n, 6)
     blocks = [6] * k + ([r] if r else [])
-    factors = [(boolean_lattice(6), b6_realizer()) for _ in range(k)]
-    if r:
-        # The (r, 2) grid has the same relation matrix as the order-r lattice.
-        factors.append((boolean_lattice(r), canonical_grid_realizer(r, 2)))
+    # The (r, 2) grid has the same relation as the order-r lattice.
+    factors = [b6_realizer()] * k + ([canonical_grid_realizer(r, 2)] if r else [])
 
-    cur_poset, cur = factors[0]
-    for nxt_poset, nxt in factors[1:]:
-        cur = compose_product(cur_poset, nxt_poset, cur, nxt)
-        cur_poset, _ = product(cur_poset, nxt_poset)
-    iso = block_decomposition_iso(n, blocks)
-    return transport(cur, iso.inverse())
+    def index_order(size: int) -> LinearOrder:
+        return LinearOrder(rank=np.arange(size))
+
+    cur = factors[0]
+    for nxt in factors[1:]:
+        cur = compose_product(cur, nxt, index_order(cur.n), index_order(nxt.n))
+    forward = block_decomposition_iso(n, blocks)
+    return transport(cur, np.argsort(forward))

@@ -51,31 +51,6 @@ _MAX_VARS = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
-class OrderVar:
-    """Variable meaning "x before y in order i" (x < y; the reverse is the
-    negated literal)."""
-
-    order: int  # 0-based
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
-class PhiVar:
-    """Variable carrying one truth-table bit."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class AuxVar:
-    note: str
-
-
-VarMeaning = OrderVar | PhiVar | AuxVar
-
-
-@dataclass(frozen=True)
 class VarMap:
     """Pinned 1-based numbering of a realizer instance.
 
@@ -113,20 +88,6 @@ class VarMap:
         """(d, C(n,2)) array: entry [i, r] is the id of "x before y in order
         i" for the r-th pair x < y."""
         return 1 + np.arange(self.d)[:, None] * self.pairs + np.arange(self.pairs)
-
-    @property
-    def records(self) -> dict[int, VarMeaning]:
-        """Meaning of every variable id, in id order."""
-        meanings: list[VarMeaning] = [
-            OrderVar(order=i, x=x, y=y)
-            for i in range(self.d)
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-        ]
-        if self.free_phi:
-            meanings.extend(PhiVar(index=t) for t in range(1 << self.d))
-        meanings.extend(AuxVar(note=note) for note in self.aux)
-        return dict(enumerate(meanings, start=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,14 +524,17 @@ def write_dimacs(cnf: CnfInstance, path: str | Path) -> None:
 
 def varmap_sidecar(varmap: VarMap) -> str:
     """Self-describing companion to a DIMACS export (order indices 1-based)."""
-    lines = []
-    for vid, rec in varmap.records.items():
-        if isinstance(rec, OrderVar):
-            lines.append(f"var {vid} order {rec.order + 1} before {rec.x} {rec.y}")
-        elif isinstance(rec, PhiVar):
-            lines.append(f"var {vid} phi {rec.index}")
-        else:
-            lines.append(f"var {vid} aux {rec.note}")
+    xs, ys = np.triu_indices(varmap.n, 1)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    lines = [
+        f"var {vid} order {i + 1} before {x} {y}"
+        for i, ids in enumerate(varmap.order_ids().tolist())
+        for vid, (x, y) in zip(ids, pairs)
+    ]
+    if varmap.free_phi:
+        lines += [f"var {varmap.first_phi + t} phi {t}" for t in range(1 << varmap.d)]
+    first_aux = varmap.num_vars - len(varmap.aux) + 1
+    lines += [f"var {first_aux + k} aux {note}" for k, note in enumerate(varmap.aux)]
     return "\n".join(lines) + "\n"
 
 

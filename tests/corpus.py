@@ -34,8 +34,8 @@ def five_element_posets():
 
 def dim_corpus():
     """Posets of at most 8 elements with modest linear-extension counts."""
-    grid23, _ = pd.product(pd.chain(2), pd.chain(3))
-    grid24, _ = pd.product(pd.chain(2), pd.chain(4))
+    grid23 = pd.product(pd.chain(2), pd.chain(3))
+    grid24 = pd.product(pd.chain(2), pd.chain(4))
     return [
         ("chain3", pd.chain(3)),
         ("antichain3", pd.antichain(3)),

@@ -100,7 +100,7 @@ def test_06_product_composition_suite(capsys):
     rng = random.Random(20250808)
     pool = [p for _, p in four_element_posets() + five_element_posets()]
     pool += [pd.chain(1), pd.chain(2), pd.boolean_lattice(3)]
-    pool += [pd.multiset_grid(2, 3), pd.product(pd.chain(2), pd.chain(4))[0]]
+    pool += [pd.multiset_grid(2, 3), pd.product(pd.chain(2), pd.chain(4))]
     for p in pool:
         assert p.n <= 16
     realizers = {}
@@ -114,14 +114,20 @@ def test_06_product_composition_suite(capsys):
     for trial in range(50):
         i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
         p, q = pool[i], pool[j]
-        composed = pd.compose_product(p, q, realizers[i], realizers[j])
-        prod, _ = pd.product(p, q)
+        composed = pd.compose_product(
+            realizers[i],
+            realizers[j],
+            pd.some_linear_extension(p),
+            pd.some_linear_extension(q),
+        )
+        prod = pd.product(p, q)
         assert pd.verify(prod, composed).ok, f"trial {trial}"
     # the flagship composition: 64 x 64 = 4096 elements at d = 10
     t0 = time.perf_counter()
     b6, r6 = pd.boolean_lattice(6), pd.b6_realizer()
-    big = pd.compose_product(b6, b6, r6, r6)
-    prod66, _ = pd.product(b6, b6)
+    ext6 = pd.some_linear_extension(b6)
+    big = pd.compose_product(r6, r6, ext6, ext6)
+    prod66 = pd.product(b6, b6)
     assert big.d == 10
     assert pd.verify(prod66, big).ok
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Text-format round trips and the named-spec grammar."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,17 @@ from posetdim.formats import (
 )
 
 from corpus import five_element_posets, four_element_posets
+
+
+def traced_peak(fn, *args):
+    """Peak traced allocation (bytes) while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
 
 BUILTIN_POSETS = [
     pd.boolean_lattice(0),
@@ -95,6 +107,13 @@ class TestPosetRoundTrip:
         with pytest.raises(ParseError):
             parse_poset(text)
 
+    def test_huge_n_rejected_before_allocating(self):
+        def parse():
+            with pytest.raises(ParseError):
+                parse_poset("poset v1\nn 3000000\nmode covers\n")
+
+        assert traced_peak(parse) < 16 * 2**20
+
 
 class TestRealizerRoundTrip:
     @pytest.mark.parametrize(
@@ -142,6 +161,13 @@ class TestRealizerRoundTrip:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_realizer(text)
+
+    def test_huge_n_rejected_before_allocating(self):
+        def parse():
+            with pytest.raises(ParseError):
+                parse_realizer("realizer v1\nn 3000000\nd 1\norder 1: 0 1\nphi 01\n")
+
+        assert traced_peak(parse) < 16 * 2**20
 
 
 class TestSpecs:

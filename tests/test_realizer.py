@@ -4,6 +4,7 @@ order-6 lattice realizer."""
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import posetdim as pd
 from posetdim.b6_data import B6_ORDER_SEQUENCES, B6_ORDERS_SHA256
 from posetdim.errors import (
     BadArity,
+    BadParameter,
     NotAnExtension,
-    PreconditionFailed,
     SizeCap,
     SizeMismatch,
 )
@@ -118,6 +119,15 @@ class TestVerify:
         for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
             outcome = pd.verify(p, r, mode)
             assert outcome.ok and outcome.pairs_checked == 4032
+
+    def test_unknown_mode_is_bad_parameter(self):
+        p, r = pd.boolean_lattice(2), pd.canonical_grid_realizer(2, 2)
+        with pytest.raises(BadParameter):
+            pd.verify(p, r, mode="x")
+        with pytest.raises(BadParameter):
+            pd.exact_bdim(p, mode="x")
+        with pytest.raises(BadParameter):
+            pd.encode_bdim_sat(p, 2, mode="x")
 
     def test_empty_realizer_on_point(self):
         r = pd.BooleanRealizer(
@@ -243,7 +253,7 @@ class TestFromExtensions:
             assert pd.verify(p, rebuilt).ok
 
     def test_products_of_chains_realized_by_lex_orders(self):
-        p, _ = pd.product(pd.chain(3), pd.chain(4))
+        p = pd.product(pd.chain(3), pd.chain(4))
         idx = np.arange(p.n)
         a, b = idx // 4, idx % 4
         one = pd.LinearOrder(rank=np.lexsort((b, a)).argsort())
@@ -308,8 +318,9 @@ class TestComposeProduct:
             orders=(pd.LinearOrder.from_sequence([0, 1]),),
             phi=pd.TruthTable(arity=1, bits=np.array([0, 1], np.uint8)),
         )
-        composed = pd.compose_product(c2, c2, bit, bit)
-        prod, _ = pd.product(c2, c2)
+        ext = pd.some_linear_extension(c2)
+        composed = pd.compose_product(bit, bit, ext, ext)
+        prod = pd.product(c2, c2)
         assert composed.d == 2
         assert pd.verify(prod, composed).ok
 
@@ -320,18 +331,22 @@ class TestComposeProduct:
         point_r = pd.BooleanRealizer(
             n=1, orders=(), phi=pd.TruthTable(arity=0, bits=np.array([1], np.uint8))
         )
-        composed = pd.compose_product(point, q, point_r, r_q)
+        composed = pd.compose_product(
+            point_r, r_q, pd.some_linear_extension(point), pd.some_linear_extension(q)
+        )
         assert composed.orders == r_q.orders and composed.phi == r_q.phi
 
-    def test_checked_inputs_rejected(self):
-        b2 = pd.boolean_lattice(2)
-        bad = pd.BooleanRealizer(
-            n=4,
-            orders=(pd.some_linear_extension(b2),),
-            phi=pd.TruthTable(arity=1, bits=np.array([0, 1], np.uint8)),
-        )
-        with pytest.raises(PreconditionFailed):
-            pd.compose_product(b2, b2, bad, bad, check_inputs=True)
+    def test_extension_size_mismatch(self):
+        r = pd.canonical_grid_realizer(2, 2)
+        ext = pd.some_linear_extension(pd.boolean_lattice(2))
+        with pytest.raises(SizeMismatch):
+            pd.compose_product(r, r, ext, pd.some_linear_extension(pd.chain(3)))
+
+    def test_size_cap(self):
+        r = pd.canonical_grid_realizer(1, 100)
+        ext = pd.LinearOrder(rank=np.arange(100))
+        with pytest.raises(SizeCap):
+            pd.compose_product(r, r, ext, ext)
 
     def test_randomized_trials(self):
         rng = random.Random(99)
@@ -340,36 +355,40 @@ class TestComposeProduct:
         witnesses = {id(p): pd.from_extensions(p, pd.exact_dim(p)[1]) for p in pool}
         for _ in range(10):
             p, q = rng.choice(pool), rng.choice(pool)
+            r_p, r_q = witnesses[id(p)], witnesses[id(q)]
+            assert pd.verify(p, r_p).ok and pd.verify(q, r_q).ok
             composed = pd.compose_product(
-                p, q, witnesses[id(p)], witnesses[id(q)], check_inputs=True
+                r_p, r_q, pd.some_linear_extension(p), pd.some_linear_extension(q)
             )
-            prod, _ = pd.product(p, q)
+            prod = pd.product(p, q)
             assert pd.verify(prod, composed).ok
 
 
 class TestTransport:
     def test_identity(self):
-        b2 = pd.boolean_lattice(2)
-        iso = pd.Isomorphism(source=b2, target=b2, forward=np.arange(4))
         r = pd.canonical_grid_realizer(2, 2)
-        assert pd.transport(r, iso) == r
+        assert pd.transport(r, np.arange(4)) == r
 
     def test_through_block_iso(self):
-        iso = pd.block_decomposition_iso(2, [1, 1])
-        moved = pd.transport(pd.canonical_grid_realizer(2, 2), iso)
-        prod, _ = pd.product(pd.boolean_lattice(1), pd.boolean_lattice(1))
+        forward = pd.block_decomposition_iso(2, [1, 1])
+        moved = pd.transport(pd.canonical_grid_realizer(2, 2), forward)
+        prod = pd.product(pd.boolean_lattice(1), pd.boolean_lattice(1))
         assert pd.verify(prod, moved).ok
 
     def test_there_and_back(self):
-        iso = pd.block_decomposition_iso(3, [2, 1])
+        forward = pd.block_decomposition_iso(3, [2, 1])
         r = pd.canonical_grid_realizer(3, 2)
-        back = pd.transport(pd.transport(r, iso), iso.inverse())
+        back = pd.transport(pd.transport(r, forward), np.argsort(forward))
         assert back == r
 
     def test_size_mismatch(self):
-        iso = pd.block_decomposition_iso(2, [1, 1])
+        forward = pd.block_decomposition_iso(2, [1, 1])
         with pytest.raises(SizeMismatch):
-            pd.transport(pd.b6_realizer(), iso)
+            pd.transport(pd.b6_realizer(), forward)
+
+    def test_not_a_bijection(self):
+        with pytest.raises(BadParameter):
+            pd.transport(pd.canonical_grid_realizer(2, 2), np.array([0, 0, 1, 2]))
 
 
 class TestUpperBoundRealizer:
@@ -396,3 +415,18 @@ class TestUpperBoundRealizer:
         assert pd.verify(pd.boolean_lattice(13), r).ok
         with pytest.raises(SizeCap):
             pd.upper_bound_realizer(14)
+
+    def test_negative_n_is_bad_parameter(self):
+        with pytest.raises(BadParameter):
+            pd.upper_bound_realizer(-1)
+
+    def test_n13_builds_in_small_memory(self):
+        # Index arithmetic only: about 11 orders of 8192 ranks, never a
+        # dense 8192x8192 relation (64 MB as bool).
+        tracemalloc.start()
+        try:
+            pd.upper_bound_realizer(13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -22,8 +22,6 @@ from posetdim.formats import parse_poset_spec
 from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
 from posetdim.sat import (
     CnfInstance,
-    OrderVar,
-    PhiVar,
     VarMap,
     check_model,
     internal_sat_solve,
@@ -44,18 +42,21 @@ class TestEncoding:
 
     def test_variable_numbering_pinned(self):
         cnf = pd.encode_bdim_sat(pd.chain(3), 2)
-        recs = cnf.varmap.records
-        assert recs[1] == OrderVar(order=0, x=0, y=1)
-        assert recs[2] == OrderVar(order=0, x=0, y=2)
-        assert recs[3] == OrderVar(order=0, x=1, y=2)
-        assert recs[4] == OrderVar(order=1, x=0, y=1)
-        assert recs[7] == PhiVar(index=0)
-        assert recs[10] == PhiVar(index=3)
+        lines = varmap_sidecar(cnf.varmap).splitlines()
+        assert lines[0] == "var 1 order 1 before 0 1"
+        assert lines[1] == "var 2 order 1 before 0 2"
+        assert lines[2] == "var 3 order 1 before 1 2"
+        assert lines[3] == "var 4 order 2 before 0 1"
+        assert lines[6] == "var 7 phi 0"
+        assert lines[9] == "var 10 phi 3"
+        assert cnf.varmap.order_ids().tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert cnf.varmap.first_phi == 7
 
     def test_fixed_phi_drops_phi_vars(self):
         cnf = pd.encode_bdim_sat(pd.boolean_lattice(2), 2, fixed_phi=pd.and_function(2))
         assert cnf.num_vars == 12
-        assert all(isinstance(r, OrderVar) for r in cnf.varmap.records.values())
+        lines = varmap_sidecar(cnf.varmap).splitlines()
+        assert len(lines) == 12 and all(" order " in ln for ln in lines)
 
     def test_fixed_phi_blocking_counts(self):
         # with AND: a pair needing 1 blocks the 2**d - 1 non-top tuples,
@@ -86,6 +87,9 @@ class TestEncoding:
         phi = pd.TruthTable(arity=1, bits=np.array([1, 0], np.uint8))
         cnf = pd.encode_bdim_sat(pd.chain(2), 1, fixed_phi=phi)
         assert internal_sat_solve(cnf).status == "unsat"
+        assert varmap_sidecar(cnf.varmap) == (
+            "var 1 order 1 before 0 1\nvar 2 aux reflexive-conflict\n"
+        )
 
 
 def _loop_encode(p, d, fixed_phi, mode):
