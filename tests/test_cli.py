@@ -165,6 +165,16 @@ class TestExactCommand:
         code, out, _ = run(capsys, "exact", "antichain:7", "dim", "--force")
         assert code == 0 and out.strip() == "dim=2"
 
+    def test_bdim_d_max_guard(self, capsys):
+        code, out, err = run(capsys, "exact", "chain:3", "bdim", "--d-max", "4")
+        assert code == 4 and out == "" and "error:" in err
+
+    def test_force_lifts_bdim_d_max_guard(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "chain:3", "bdim", "--d-max", "4", "--force"
+        )
+        assert code == 0 and out.strip() == "bdim=1"
+
     def test_not_found(self, capsys):
         code, out, _ = run(capsys, "exact", "boolean:2", "bdim", "--d-max", "1")
         assert code == 1 and "not found" in out
@@ -228,6 +238,17 @@ class TestSatCommand:
     def test_guard_exceeded(self, capsys):
         code, _, _ = run(capsys, "sat", "boolean:2", "--d", "9")
         assert code == 4
+
+    def test_force_lifts_d_guard(self, capsys, tmp_path):
+        path = tmp_path / "c2d9.cnf"
+        code, out, _ = run(
+            capsys, "sat", "chain:2", "--d", "9", "--force", "--engine", "emit",
+            "--out", str(path),
+        )
+        assert code == 0
+        assert out == (
+            f"emitted: vars=521 clauses=1025 cnf={path} varmap={path}.varmap\n"
+        )
 
 
 class TestDumpCommand:

@@ -193,6 +193,41 @@ class TestVerify:
             r = random_realizer(rng, p.n)
             assert pd.verify(p, r, threads=3) == pd.verify(p, r, threads=1)
 
+    def test_first_counterexample_across_chunks(self):
+        """B12 is scanned in four 1024-row chunks.  Swapping neighbours in
+        the orders breaks pairs in rows 2048-2303 (third chunk) and 3072 and
+        up (fourth chunk); every thread count reports the smallest one."""
+        p = pd.boolean_lattice(12)
+        r = pd.upper_bound_realizer(12)
+        seqs = [o.sequence().copy() for o in r.orders]
+        swapped = set()
+        for seq in seqs:
+            for j in range(0, len(seq) - 1, 2):  # disjoint neighbour slots
+                a, b = int(seq[j]), int(seq[j + 1])
+                if all(2048 <= e < 2304 for e in (a, b)) or min(a, b) >= 3072:
+                    seq[j], seq[j + 1] = b, a
+                    swapped.add((a, b))
+        tampered = pd.BooleanRealizer(
+            n=r.n,
+            orders=tuple(pd.LinearOrder.from_sequence(s) for s in seqs),
+            phi=r.phi,
+        )
+        # A neighbour swap changes only the swapped pair's query tuples.
+        broken = sorted(
+            (x, y)
+            for a, b in swapped
+            for x, y in ((a, b), (b, a))
+            if pd.evaluate(tampered, x, y) != bool(p.leq[x, y])
+        )
+        assert 2048 <= broken[0][0] < 2304
+        assert any(x >= 3072 for x, _ in broken)
+        x, y = broken[0]
+        for threads in (1, 2, 3):
+            c = pd.verify(p, tampered, threads=threads).counterexample
+            assert (c.x, c.y) == (x, y), threads
+            assert c.query == pd.query_tuple(tampered, x, y)
+            assert c.expected == bool(p.leq[x, y]) and c.got != c.expected
+
 
 @given(
     st.integers(2, 8).flatmap(

@@ -89,6 +89,7 @@ class TestPhiConsistent:
         result = phi_consistent(p, [order], mode=DISTINCT_ONLY)
         # class "before": (0,1) needs 1 but (2,0) and (2,1) need 0
         assert isinstance(result, Inconsistent)
+        assert result.pair_a == (0, 1) and result.pair_b == (2, 0)
 
     def test_unconstrained_tuples_default_to_zero(self):
         p = pd.chain(2)
