@@ -40,7 +40,7 @@ from .realizer import (
     upper_bound_realizer,
     verify,
 )
-from .search import exact_bdim, exact_dim
+from .search import MAX_BDIM_D, exact_bdim, exact_dim
 from .sat import search_realizer
 
 _MODE_FLAGS = {"reflexive": REFLEXIVE_INCLUSIVE, "distinct": DISTINCT_ONLY}
@@ -176,13 +176,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
     mode = _MODE_FLAGS[args.mode]
     t0 = time.perf_counter()
     if args.what == "dim":
-        guards = {"max_elements": None, "max_extensions": None} if args.force else {}
         d_max = args.d_max
-        result = exact_dim(p, d_max=d_max, **guards)
+        result = exact_dim(p, d_max=d_max, force=args.force)
     else:
-        guards = {"max_elements": None, "max_d": None} if args.force else {}
-        d_max = args.d_max if args.d_max is not None else 3
-        result = exact_bdim(p, d_max=d_max, mode=mode, **guards)
+        d_max = args.d_max if args.d_max is not None else MAX_BDIM_D
+        result = exact_bdim(p, d_max=d_max, mode=mode, force=args.force)
     _elapsed(t0)
     if result is None:
         print(f"not found within d_max={d_max}")
@@ -199,11 +197,6 @@ def cmd_sat(args: argparse.Namespace) -> int:
     p = parse_poset_spec(args.poset)
     mode = _MODE_FLAGS[args.mode]
     phi = "free" if args.phi == "free" else and_function(args.d)
-    if args.engine == "external" and not args.solver:
-        raise UsageError("--engine external needs --solver")
-    if args.engine == "emit" and not args.out:
-        raise UsageError("--engine emit needs --out for the DIMACS path")
-    guards = {"max_elements": None, "max_d": None} if args.force else {}
     t0 = time.perf_counter()
     report = search_realizer(
         p,
@@ -213,7 +206,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
         solver_command=args.solver,
         emit_path=args.out if args.engine == "emit" else None,
         mode=mode,
-        **guards,
+        force=args.force,
     )
     _elapsed(t0)
     if report.status == "emitted":

@@ -168,8 +168,8 @@ def parse_poset_spec(spec: str) -> Poset:
         m = _FAMILY_PATTERNS[name].match(spec)
         if not m:
             raise UsageError(f"malformed {name!r} spec: {spec!r}")
-        args = [int(g) for g in m.groups()]
         try:
+            args = [int(g) for g in m.groups()]
             if name == "boolean":
                 return boolean_lattice(args[0])
             if name == "grid":
@@ -179,7 +179,7 @@ def parse_poset_spec(spec: str) -> Poset:
             if name == "chain":
                 return chain(args[0])
             return antichain(args[0])
-        except ToolkitError as exc:
+        except (ToolkitError, ValueError) as exc:  # ValueError: > 4300 digits
             raise UsageError(f"invalid poset spec {spec!r}: {exc}") from exc
     if ":" in spec and not _looks_like_path(spec):
         raise UsageError(f"unknown poset family in {spec!r}")

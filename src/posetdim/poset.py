@@ -37,6 +37,19 @@ from .errors import (
 MAX_ELEMENTS = 8192
 
 
+def _capped_size(base: int, exp: int = 1) -> int:
+    """``base**exp`` as a ground-set size, or SizeCap once it passes
+    MAX_ELEMENTS.  The power is built by repeated multiplication and stops
+    at the first product over the cap, so an oversized size is never
+    computed in full or formatted."""
+    size = 1
+    for _ in range(exp):
+        size *= base
+        if size > MAX_ELEMENTS:
+            raise SizeCap(f"size exceeds the cap of {MAX_ELEMENTS} elements")
+    return size
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -53,8 +66,7 @@ class Poset:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise BadParameter(f"poset needs at least one element, got n={self.n}")
-        if self.n > MAX_ELEMENTS:
-            raise SizeCap(f"n={self.n} exceeds the cap of {MAX_ELEMENTS} elements")
+        _capped_size(self.n)
         if self.leq.shape != (self.n, self.n) or self.leq.dtype != np.bool_:
             raise BadParameter("leq must be an (n, n) bool matrix")
         if len(self.labels) != self.n:
@@ -122,8 +134,7 @@ def from_relation_pairs(
     """
     if n < 1:
         raise BadParameter(f"n must be positive, got {n}")
-    if n > MAX_ELEMENTS:
-        raise SizeCap(f"n={n} exceeds the cap of {MAX_ELEMENTS} elements")
+    _capped_size(n)
     if labels is None:
         labels = _default_labels(n)
     if len(labels) != n:
@@ -174,9 +185,7 @@ def boolean_lattice(n: int) -> Poset:
     """All subsets of ``{1..n}`` under inclusion, subset-as-bit-vector indexed."""
     if n < 0:
         raise BadParameter(f"n must be >= 0, got {n}")
-    size = 1 << n
-    if size > MAX_ELEMENTS:
-        raise SizeCap(f"2**{n} = {size} exceeds the cap of {MAX_ELEMENTS}")
+    size = _capped_size(2, n)
     idx = np.arange(size, dtype=np.uint16)
     leq = (idx[:, None] & idx[None, :]) == idx[:, None]
     labels = [
@@ -196,9 +205,8 @@ def multiset_grid(n: int, m: int) -> Poset:
     """Vectors in ``{0..m-1}**n`` under the coordinatewise order."""
     if n < 1 or m < 1:
         raise BadParameter(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    size = m**n
-    if size > MAX_ELEMENTS:
-        raise SizeCap(f"{m}**{n} = {size} exceeds the cap of {MAX_ELEMENTS}")
+    _capped_size(n)  # coordinates, before any vector is built
+    size = _capped_size(m, n)
     coords = grid_coordinates(n, m)
     leq = np.ones((size, size), dtype=bool)
     for i in range(n):
@@ -216,9 +224,7 @@ def standard_example(n: int) -> Poset:
     """
     if n < 2:
         raise BadParameter(f"standard example needs n >= 2, got {n}")
-    size = 2 * n
-    if size > MAX_ELEMENTS:
-        raise SizeCap(f"2*{n} = {size} exceeds the cap of {MAX_ELEMENTS}")
+    size = _capped_size(2 * n)
     leq = np.eye(size, dtype=bool)
     for i in range(n):
         for j in range(n):
@@ -232,8 +238,7 @@ def chain(k: int) -> Poset:
     """Total order on k elements, 0 at the bottom."""
     if k < 1:
         raise BadParameter(f"chain needs k >= 1, got {k}")
-    if k > MAX_ELEMENTS:
-        raise SizeCap(f"k={k} exceeds the cap of {MAX_ELEMENTS}")
+    _capped_size(k)
     idx = np.arange(k)
     leq = idx[:, None] <= idx[None, :]
     return _make(leq, _default_labels(k))
@@ -243,16 +248,13 @@ def antichain(k: int) -> Poset:
     """k pairwise-incomparable elements."""
     if k < 1:
         raise BadParameter(f"antichain needs k >= 1, got {k}")
-    if k > MAX_ELEMENTS:
-        raise SizeCap(f"k={k} exceeds the cap of {MAX_ELEMENTS}")
+    _capped_size(k)
     return _make(np.eye(k, dtype=bool), _default_labels(k))
 
 
 def product(p: Poset, q: Poset) -> Poset:
     """Componentwise-order product; pair ``(a, b)`` gets index ``a*|Q| + b``."""
-    size = p.n * q.n
-    if size > MAX_ELEMENTS:
-        raise SizeCap(f"{p.n}*{q.n} = {size} exceeds the cap of {MAX_ELEMENTS}")
+    _capped_size(p.n * q.n)
     leq = np.kron(p.leq, q.leq).astype(bool)
     labels = [f"({pl},{ql})" for pl in p.labels for ql in q.labels]
     return _make(leq, labels)
@@ -397,10 +399,7 @@ def block_decomposition_iso(n: int, block_sizes: list[int]) -> np.ndarray:
         raise BadPartition(f"n must be >= 1, got {n}")
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != n:
         raise BadPartition(f"blocks {block_sizes} do not partition {n} coordinates")
-    size = 1 << n
-    if size > MAX_ELEMENTS:
-        raise SizeCap(f"2**{n} = {size} exceeds the cap of {MAX_ELEMENTS}")
-
+    size = _capped_size(2, n)
     idx = np.arange(size, dtype=np.int64)
     offsets = np.cumsum([0] + list(block_sizes[:-1]))
     forward = np.zeros(size, dtype=np.int64)
@@ -412,9 +411,8 @@ def block_decomposition_iso(n: int, block_sizes: list[int]) -> np.ndarray:
 def strict_cover_pairs(p: Poset) -> list[tuple[int, int]]:
     """Transitive-reduction edges (x, y) with x covered by y, ascending."""
     strict = p.leq & ~np.eye(p.n, dtype=bool)
-    if p.n > 512:
-        two_step = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0
-    else:
-        two_step = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
+    # Path counts are at most n - 2, exact in float32 for every n <= 2**24.
+    s = strict.astype(np.float32)
+    two_step = (s @ s) > 0
     covers = strict & ~two_step
     return [(int(x), int(y)) for x, y in np.argwhere(covers)]

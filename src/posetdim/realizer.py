@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import b6_data
-from .errors import BadArity, BadParameter, NotAnExtension, SizeCap, SizeMismatch
+from .errors import BadArity, BadParameter, NotAnExtension, SizeMismatch
 from .poset import (
-    MAX_ELEMENTS,
     LinearOrder,
     Poset,
+    _capped_size,
     _freeze,
     block_decomposition_iso,
     grid_coordinates,
@@ -180,9 +180,12 @@ def verify(
     pairs.
 
     In reflexive_inclusive mode the diagonal is part of the scan, which is
-    exactly the requirement phi(1,...,1) = 1; distinct_only skips it.  The
-    reported counterexample is the first in ascending (x, then y) order, no
-    matter how the scan is chunked or threaded.
+    exactly the requirement phi(1,...,1) = 1; distinct_only skips it.
+
+    Row chunks are scanned on ``max(1, threads)`` worker threads and their
+    results read in row order; the scan stops at the first chunk with a
+    mismatch, so the reported counterexample is the first in ascending
+    (x, then y) order for every thread count.
     """
     _check_mode(mode)
     if r.n != p.n:
@@ -203,16 +206,9 @@ def verify(
             return None
         return rows.start * n + int(hits[0])
 
-    first: int | None = None
-    if threads <= 1:
-        for rows in chunks:
-            first = scan(rows)
-            if first is not None:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates = [c for c in pool.map(scan, chunks) if c is not None]
-        first = min(candidates) if candidates else None
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        first = next((hit for hit in pool.map(scan, chunks) if hit is not None), None)
+        pool.shutdown(cancel_futures=True)
 
     pairs = n * (n - 1)
     if first is None:
@@ -289,8 +285,7 @@ def compose_product(
     if ext_p.n != r_p.n or ext_q.n != r_q.n:
         raise SizeMismatch("extensions must cover their realizers' ground sets")
     p_n, q_n = r_p.n, r_q.n
-    if p_n * q_n > MAX_ELEMENTS:
-        raise SizeCap(f"{p_n}*{q_n} exceeds the cap of {MAX_ELEMENTS}")
+    _capped_size(p_n * q_n)
 
     if p_n == 1:
         return BooleanRealizer(n=q_n, orders=r_q.orders, phi=r_q.phi)
@@ -330,25 +325,22 @@ def transport(r: BooleanRealizer, forward: np.ndarray) -> BooleanRealizer:
 def upper_bound_realizer(n: int) -> BooleanRealizer:
     """A ceil(5n/6)-order realizer of the order-n Boolean lattice.
 
-    For n >= 6, write n = 6k + r and compose k copies of the bundled 5-order
-    realizer with the canonical r-order realizer (dropping the factor when
-    r = 0), then transport the result from the nested product back onto the
-    lattice through the block-decomposition bit permutation.  Index order
-    extends every lattice and every index-encoded product of lattices, so the
+    Write n = 6k + r and compose k copies of the bundled 5-order realizer
+    with the canonical r-order realizer (dropping the factor when r = 0),
+    then transport the result from the nested product back onto the lattice
+    through the block-decomposition bit permutation.  Index order extends
+    every lattice and every index-encoded product of lattices, so the
     identity serves as each factor's linear extension and no poset is built.
-    For n < 6 the canonical n-order realizer already meets the
-    ceil(5n/6) = n budget.
+    For n < 6 the one canonical factor already meets the ceil(5n/6) = n
+    budget, and the permutation is the identity.
     """
     if n < 0:
         raise BadParameter(f"n must be >= 0, got {n}")
-    if (1 << n) > MAX_ELEMENTS:
-        raise SizeCap(f"2**{n} exceeds the cap of {MAX_ELEMENTS}")
+    _capped_size(2, n)
     if n == 0:
         return BooleanRealizer(
             n=1, orders=(), phi=TruthTable(arity=0, bits=np.array([1], np.uint8))
         )
-    if n < 6:
-        return canonical_grid_realizer(n, 2)
 
     k, r = divmod(n, 6)
     blocks = [6] * k + ([r] if r else [])

@@ -165,11 +165,11 @@ def encode_bdim_sat(
     d: int,
     fixed_phi: TruthTable | None = None,
     mode: str = REFLEXIVE_INCLUSIVE,
-    max_elements: int | None = MAX_SAT_ELEMENTS,
-    max_d: int | None = MAX_SAT_D,
+    force: bool = False,
 ) -> CnfInstance:
     """CNF that is satisfiable iff p has a d-order realizer (with the given
-    phi, when fixed).
+    phi, when fixed).  The guards (d <= MAX_SAT_D, at most MAX_SAT_ELEMENTS
+    elements) raise GuardExceeded; ``force=True`` lifts both.
 
     Variable numbering is pinned (see VarMap), so DIMACS exports are stable
     and self-describing via the sidecar.  Clause order is pinned too:
@@ -180,10 +180,12 @@ def encode_bdim_sat(
     _check_mode(mode)
     if d < 1:
         raise BadParameter(f"d must be >= 1, got {d}")
-    if max_d is not None and d > max_d:
-        raise GuardExceeded(f"d = {d} exceeds the guard of {max_d}")
-    if max_elements is not None and p.n > max_elements:
-        raise GuardExceeded(f"|P| = {p.n} exceeds the {max_elements}-element guard")
+    if not force and d > MAX_SAT_D:
+        raise GuardExceeded(f"d = {d} exceeds the guard of {MAX_SAT_D}")
+    if not force and p.n > MAX_SAT_ELEMENTS:
+        raise GuardExceeded(
+            f"|P| = {p.n} exceeds the {MAX_SAT_ELEMENTS}-element guard"
+        )
     if fixed_phi is not None and fixed_phi.arity != d:
         raise FixedPhiArityMismatch(
             f"fixed phi has arity {fixed_phi.arity}, expected {d}"
@@ -728,25 +730,28 @@ def search_realizer(
     emit_path: str | Path | None = None,
     mode: str = REFLEXIVE_INCLUSIVE,
     conflict_limit: int | None = None,
-    max_elements: int | None = MAX_SAT_ELEMENTS,
-    max_d: int | None = MAX_SAT_D,
+    force: bool = False,
 ) -> SearchReport:
     """encode -> solve -> decode -> verify, or emit the DIMACS instance.
 
     phi is "free" or a fixed TruthTable of arity d.  Engines: "internal"
     (bundled complete solver), "external" (solver_command required), "emit"
-    (write instance plus varmap sidecar to emit_path and stop).
+    (write instance plus varmap sidecar to emit_path and stop).  The engine
+    and its argument are checked before anything is encoded; ``force=True``
+    lifts the encoder guards.
     """
     fixed_phi = None if phi == "free" else phi
     if isinstance(fixed_phi, str):
         raise BadParameter(f"phi must be 'free' or a TruthTable, got {phi!r}")
-    cnf = encode_bdim_sat(
-        p, d, fixed_phi=fixed_phi, mode=mode, max_elements=max_elements, max_d=max_d
-    )
+    if engine not in ("internal", "external", "emit"):
+        raise BadParameter(f"unknown engine {engine!r}")
+    if engine == "external" and not solver_command:
+        raise BadParameter("external engine needs solver_command")
+    if engine == "emit" and not emit_path:
+        raise BadParameter("emit engine needs emit_path")
+    cnf = encode_bdim_sat(p, d, fixed_phi=fixed_phi, mode=mode, force=force)
 
     if engine == "emit":
-        if emit_path is None:
-            raise BadParameter("emit engine needs emit_path")
         cnf_path = Path(emit_path)
         varmap_path = cnf_path.with_suffix(cnf_path.suffix + ".varmap")
         write_dimacs(cnf, cnf_path)
@@ -761,14 +766,8 @@ def search_realizer(
         )
     if engine == "internal":
         result = internal_sat_solve(cnf, conflict_limit=conflict_limit)
-        unsat_verified = True
-    elif engine == "external":
-        if not solver_command:
-            raise BadParameter("external engine needs solver_command")
-        result = run_external_solver(cnf, solver_command)
-        unsat_verified = False
     else:
-        raise BadParameter(f"unknown engine {engine!r}")
+        result = run_external_solver(cnf, solver_command)
 
     realizer = None
     if result.status == "sat":
@@ -780,6 +779,6 @@ def search_realizer(
         realizer=realizer,
         num_vars=cnf.num_vars,
         num_clauses=len(cnf.clauses),
-        unsat_verified=unsat_verified and result.status == "unsat",
+        unsat_verified=engine == "internal" and result.status == "unsat",
         conflicts=result.conflicts,
     )

@@ -127,22 +127,23 @@ def phi_consistent(
 
 
 def exact_dim(
-    p: Poset,
-    d_max: int | None = None,
-    max_elements: int | None = MAX_DIM_ELEMENTS,
-    max_extensions: int | None = MAX_DIM_EXTENSIONS,
+    p: Poset, d_max: int | None = None, force: bool = False
 ) -> tuple[int, list[LinearOrder]] | None:
     """Smallest d such that d linear extensions intersect to exactly p,
     together with a witness family; None if d_max cuts the search short.
 
     Enumerates all linear extensions, then subsets of increasing size.  The
-    guards fail loudly on posets too big for that plan; pass None to lift.
+    guards (MAX_DIM_ELEMENTS elements, MAX_DIM_EXTENSIONS extensions) fail
+    loudly on posets too big for that plan; ``force=True`` lifts both.
     """
-    if max_elements is not None and p.n > max_elements:
-        raise GuardExceeded(f"|P| = {p.n} exceeds the {max_elements}-element guard")
-    extensions, truncated = linear_extensions(p, limit=max_extensions)
+    if not force and p.n > MAX_DIM_ELEMENTS:
+        raise GuardExceeded(
+            f"|P| = {p.n} exceeds the {MAX_DIM_ELEMENTS}-element guard"
+        )
+    limit = None if force else MAX_DIM_EXTENSIONS
+    extensions, truncated = linear_extensions(p, limit=limit)
     if truncated:
-        raise GuardExceeded(f"more than {max_extensions} linear extensions")
+        raise GuardExceeded(f"more than {MAX_DIM_EXTENSIONS} linear extensions")
 
     n = p.n
     answers, universe = _leq_masks(p)
@@ -162,21 +163,23 @@ def exact_bdim(
     p: Poset,
     d_max: int = MAX_BDIM_D,
     mode: str = REFLEXIVE_INCLUSIVE,
-    max_elements: int | None = MAX_BDIM_ELEMENTS,
-    max_d: int | None = MAX_BDIM_D,
+    force: bool = False,
 ) -> tuple[int, BooleanRealizer] | None:
     """Smallest d <= d_max admitting d linear orders and a phi that realize p,
     with a verified witness; None if not found.
 
     Orders range over all permutations of the ground set, not only linear
     extensions.  Since phi is free, order tuples are enumerated non-decreasing
-    without loss of generality.
+    without loss of generality.  The guards (MAX_BDIM_ELEMENTS elements,
+    d_max <= MAX_BDIM_D) fail loudly; ``force=True`` lifts both.
     """
     _check_mode(mode)
-    if max_elements is not None and p.n > max_elements:
-        raise GuardExceeded(f"|P| = {p.n} exceeds the {max_elements}-element guard")
-    if max_d is not None and d_max > max_d:
-        raise GuardExceeded(f"d_max = {d_max} exceeds the guard of {max_d}")
+    if not force and p.n > MAX_BDIM_ELEMENTS:
+        raise GuardExceeded(
+            f"|P| = {p.n} exceeds the {MAX_BDIM_ELEMENTS}-element guard"
+        )
+    if not force and d_max > MAX_BDIM_D:
+        raise GuardExceeded(f"d_max = {d_max} exceeds the guard of {MAX_BDIM_D}")
 
     n = p.n
     reflexive = mode == REFLEXIVE_INCLUSIVE

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit statuses, and determinism."""
 
 import numpy as np
+import pytest
 
 import posetdim as pd
 from posetdim.cli import main
@@ -269,6 +270,31 @@ class TestDumpCommand:
         code, _, _ = run(capsys, "dump", "grid:2x3", "--out", str(path))
         assert code == 0
         assert parse_poset(path.read_text()) == pd.multiset_grid(2, 3)
+
+
+class TestSizeCapIsUsageError:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "boolean:20000", "builtin:b6"),
+            ("dump", "grid:20000x3"),
+            ("dump", "grid:30000000x1"),
+            ("dump", "boolean:" + "9" * 5000),
+        ],
+        ids=["boolean-20000", "grid-20000x3", "grid-30000000x1", "digits-5000"],
+    )
+    def test_exit_2_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+
+class TestDumpCovers:
+    def test_chain_300_has_consecutive_covers(self, capsys):
+        code, out, _ = run(capsys, "dump", "chain:300")
+        assert code == 0
+        rel = [ln for ln in out.splitlines() if ln.startswith("rel ")]
+        assert rel == [f"rel {i} {i + 1}" for i in range(299)]
 
 
 class TestDeterminism:

@@ -196,6 +196,13 @@ class TestSpecs:
         with pytest.raises(UsageError):
             parse_poset_spec("boolean:20")
 
+    def test_huge_lattice_rejected_in_bounded_memory(self):
+        def attempt():
+            with pytest.raises(UsageError):
+                parse_poset_spec("boolean:2000000000")
+
+        assert traced_peak(attempt) < 16 * 2**20
+
     def test_file_path_spec(self, tmp_path):
         path = tmp_path / "p.poset"
         path.write_text(serialize_poset(pd.chain(3)))

@@ -115,6 +115,12 @@ class TestBooleanLattice:
         with pytest.raises(SizeCap):
             pd.boolean_lattice(14)
 
+    def test_huge_n_is_size_cap(self):
+        # 2**n is never built in full, nor formatted into the message
+        for n in (20000, 2_000_000_000, 10**5000):
+            with pytest.raises(SizeCap):
+                pd.boolean_lattice(n)
+
     def test_labels(self):
         p = pd.boolean_lattice(2)
         assert p.labels == ("{}", "{1}", "{2}", "{1,2}")
@@ -142,6 +148,13 @@ class TestMultisetGrid:
     def test_size_cap(self):
         with pytest.raises(SizeCap):
             pd.multiset_grid(5, 7)
+
+    def test_coordinate_cap(self):
+        # m = 1 keeps m**n at 1; the coordinate count itself is capped
+        for n, m in ((30_000_000, 1), (20000, 3)):
+            with pytest.raises(SizeCap):
+                pd.multiset_grid(n, m)
+        assert pd.multiset_grid(8192, 1).n == 1
 
 
 class TestStandardExample:

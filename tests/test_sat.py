@@ -4,12 +4,14 @@ model decoding."""
 import stat
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import posetdim as pd
 from posetdim.errors import (
+    BadParameter,
     DecodeInconsistent,
     FixedPhiArityMismatch,
     GuardExceeded,
@@ -82,6 +84,11 @@ class TestEncoding:
             pd.encode_bdim_sat(pd.chain(2), 9)
         with pytest.raises(GuardExceeded):
             pd.encode_bdim_sat(pd.boolean_lattice(8), 2)
+
+    def test_force_lifts_guards(self):
+        cnf = pd.encode_bdim_sat(pd.chain(2), 9, force=True)
+        assert cnf.num_vars == 9 + 2**9 and len(cnf.clauses) == 1025
+        assert pd.encode_bdim_sat(pd.chain(129), 1, force=True).num_vars == 129 * 64 + 2
 
     def test_reflexive_conflict_with_fixed_phi(self):
         phi = pd.TruthTable(arity=1, bits=np.array([1, 0], np.uint8))
@@ -313,8 +320,11 @@ class TestDimacsFormats:
 
 
 def _script(tmp_path, name, body):
+    """Executable Python script that imports the posetdim under test."""
+    src = str(Path(pd.__file__).resolve().parent.parent)
+    header = f"#!{sys.executable}\nimport sys\nsys.path.insert(0, {src!r})\n"
     path = tmp_path / name
-    path.write_text(f"#!{sys.executable}\n" + textwrap.dedent(body))
+    path.write_text(header + textwrap.dedent(body))
     path.chmod(path.stat().st_mode | stat.S_IEXEC)
     return str(path)
 
@@ -388,6 +398,16 @@ class TestExternalSolver:
 
 
 class TestSearchRealizer:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"engine": "bogus"}, {"engine": "external"}, {"engine": "emit"},
+         {"engine": "emit", "emit_path": ""}],
+    )
+    def test_engine_arguments_checked_before_encoding(self, kwargs):
+        # B8 with d = 9 would trip both encoder guards
+        with pytest.raises(BadParameter):
+            pd.search_realizer(pd.boolean_lattice(8), 9, **kwargs)
+
     def test_s4_free_phi(self):
         p = pd.standard_example(4)
         report = pd.search_realizer(p, 4)

@@ -47,7 +47,7 @@ class TestExactDim:
             pd.exact_dim(pd.antichain(7))  # 5040 extensions
 
     def test_guard_override(self):
-        assert pd.exact_dim(pd.antichain(6), max_extensions=None)[0] == 2
+        assert pd.exact_dim(pd.antichain(6), force=True)[0] == 2
 
     def test_witnesses_verify(self):
         for name, p in dim_corpus():
@@ -154,7 +154,7 @@ class TestExactBdim:
         import numpy as np
 
         for name, p in four_element_posets():
-            found = pd.exact_bdim(p, d_max=3, max_d=3)
+            found = pd.exact_bdim(p, d_max=3)
             assert found is not None, name
             d, witness = found
             if d >= 3:
