@@ -187,7 +187,13 @@ def boolean_lattice(n: int) -> Poset:
         raise BadParameter(f"n must be >= 0, got {n}")
     size = _capped_size(2, n)
     idx = np.arange(size, dtype=np.uint16)
-    leq = (idx[:, None] & idx[None, :]) == idx[:, None]
+    # Row blocks of about 2**18 cells, so the uint16 intersections never
+    # take more than a small temporary beside the bool matrix.
+    rows_per_block = max(1, (1 << 18) // size)
+    leq = np.empty((size, size), dtype=bool)
+    for start in range(0, size, rows_per_block):
+        x = idx[start : start + rows_per_block, None]
+        np.equal(x & idx, x, out=leq[start : start + len(x)])
     labels = [
         "{" + ",".join(str(i + 1) for i in range(n) if x >> i & 1) + "}"
         for x in range(size)

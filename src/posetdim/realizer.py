@@ -12,6 +12,7 @@ significant bit.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ MODES = (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY)
 
 MAX_ARITY = 16
 
-_CHUNK_CELLS = 1 << 22  # target cells per row-chunk in the pair scan
+_CHUNK_CELLS = 1 << 18  # target cells per row chunk; a chunk's buffers stay in cache
 
 
 def _check_mode(mode: str) -> None:
@@ -161,15 +162,6 @@ def evaluate(r: BooleanRealizer, x: int, y: int) -> bool:
     return r.phi(query_tuple(r, x, y))
 
 
-def _tuple_index_block(r: BooleanRealizer, rows: slice) -> np.ndarray:
-    """(rows, n) uint16 matrix of truth-table indices for the row block."""
-    n = r.n
-    t = np.zeros((rows.stop - rows.start, n), dtype=np.uint16)
-    for i, o in enumerate(r.orders):
-        t |= (o.rank[rows, None] <= o.rank[None, :]).astype(np.uint16) << i
-    return t
-
-
 def verify(
     p: Poset,
     r: BooleanRealizer,
@@ -182,32 +174,46 @@ def verify(
     In reflexive_inclusive mode the diagonal is part of the scan, which is
     exactly the requirement phi(1,...,1) = 1; distinct_only skips it.
 
-    Row chunks are scanned on ``max(1, threads)`` worker threads and their
-    results read in row order; the scan stops at the first chunk with a
-    mismatch, so the reported counterexample is the first in ascending
-    (x, then y) order for every thread count.
+    Row chunks of about ``_CHUNK_CELLS`` pairs are scanned on
+    ``max(1, threads)`` worker threads and their results read in row order;
+    the scan stops at the first chunk with a mismatch, so the reported
+    counterexample is the first in ascending (x, then y) order for every
+    thread count.  Each thread fills one set of chunk-sized buffers in place
+    and reuses it for every chunk it scans.
     """
     _check_mode(mode)
     if r.n != p.n:
         raise SizeMismatch(f"realizer on {r.n} elements vs poset on {p.n}")
     n = p.n
     rows_per_chunk = max(1, _CHUNK_CELLS // n)
-    chunks = [slice(s, min(s + rows_per_chunk, n)) for s in range(0, n, rows_per_chunk)]
-    phi_bits = r.phi.bits
+    # uint16 holds every rank (n <= MAX_ELEMENTS = 8192) and every tuple
+    # index (d <= MAX_ARITY = 16).
+    ranks = np.array([o.rank for o in r.orders], dtype=np.uint16).reshape(r.d, n)
+    phi = r.phi.bits.astype(bool)
+    local = threading.local()
 
-    def scan(rows: slice) -> int | None:
-        got = phi_bits[_tuple_index_block(r, rows)].astype(bool)
-        diff = got != p.leq[rows]
+    def scan(start: int) -> int | None:
+        if not hasattr(local, "buffers"):
+            shape = (min(rows_per_chunk, n), n)
+            local.buffers = np.empty(shape, bool), np.empty(shape, np.uint16)
+        rows = slice(start, min(start + rows_per_chunk, n))
+        cells, t = (b[: rows.stop - start] for b in local.buffers)
+        t.fill(0)
+        for rank in ranks[::-1]:  # the last order is the most significant bit
+            np.less_equal(rank[rows, None], rank, out=cells)
+            np.left_shift(t, 1, out=t)
+            np.bitwise_or(t, cells, out=t)
+        np.take(phi, t, out=cells)
+        np.not_equal(cells, p.leq[rows], out=cells)  # now True at mismatches
+        flat = cells.reshape(-1)
         if mode == DISTINCT_ONLY:
-            d = np.arange(rows.start, rows.stop)
-            diff[d - rows.start, d] = False
-        hits = np.flatnonzero(diff.ravel())
-        if hits.size == 0:
-            return None
-        return rows.start * n + int(hits[0])
+            flat[start :: n + 1] = False  # cells (x, x) of rows x in the chunk
+        k = int(flat.argmax())
+        return start * n + k if flat[k] else None
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        first = next((hit for hit in pool.map(scan, chunks) if hit is not None), None)
+        hits = pool.map(scan, range(0, n, rows_per_chunk))
+        first = next((hit for hit in hits if hit is not None), None)
         pool.shutdown(cancel_futures=True)
 
     pairs = n * (n - 1)

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadArity,
     DecodeInconsistent,
     FixedPhiArityMismatch,
     GuardExceeded,
@@ -38,6 +39,7 @@ from .errors import (
 from .errors import BadParameter
 from .poset import LinearOrder, Poset
 from .realizer import (
+    MAX_ARITY,
     REFLEXIVE_INCLUSIVE,
     BooleanRealizer,
     TruthTable,
@@ -169,7 +171,8 @@ def encode_bdim_sat(
 ) -> CnfInstance:
     """CNF that is satisfiable iff p has a d-order realizer (with the given
     phi, when fixed).  The guards (d <= MAX_SAT_D, at most MAX_SAT_ELEMENTS
-    elements) raise GuardExceeded; ``force=True`` lifts both.
+    elements) raise GuardExceeded; ``force=True`` lifts both, but never lets
+    d past MAX_ARITY, the widest truth table a realizer can hold.
 
     Variable numbering is pinned (see VarMap), so DIMACS exports are stable
     and self-describing via the sidecar.  Clause order is pinned too:
@@ -186,6 +189,8 @@ def encode_bdim_sat(
         raise GuardExceeded(
             f"|P| = {p.n} exceeds the {MAX_SAT_ELEMENTS}-element guard"
         )
+    if d > MAX_ARITY:
+        raise BadArity(f"d must be in 1..{MAX_ARITY}, got {d}")
     if fixed_phi is not None and fixed_phi.arity != d:
         raise FixedPhiArityMismatch(
             f"fixed phi has arity {fixed_phi.arity}, expected {d}"

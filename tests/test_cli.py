@@ -251,6 +251,15 @@ class TestSatCommand:
             f"emitted: vars=521 clauses=1025 cnf={path} varmap={path}.varmap\n"
         )
 
+    def test_force_keeps_arity_cap(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("d = 17 must be rejected before solving")
+
+        monkeypatch.setattr(pd.sat, "internal_sat_solve", no_solve)
+        code, out, err = run(capsys, "sat", "chain:2", "--d", "17", "--force")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+
 
 class TestDumpCommand:
     def test_dump_b6_matches_builtin(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ lattices, a cubic-time reachability closure, and a pure-Python simulation of
 the smallest-index-minimal rule.
 """
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -110,6 +111,23 @@ class TestBooleanLattice:
 
     def test_b6_matches_subset_oracle(self):
         assert np.array_equal(pd.boolean_lattice(6).leq, subset_leq_oracle(6))
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_matches_naive_matrix(self, n):
+        idx = np.arange(2**n)
+        naive = (idx[:, None] & idx[None, :]) == idx[:, None]
+        assert np.array_equal(pd.boolean_lattice(n).leq, naive)
+
+    def test_b13_builds_in_one_matrix(self):
+        # The bool matrix is 64 MB; row blocks add only a small buffer, no
+        # full-size temporary.
+        tracemalloc.start()
+        try:
+            pd.boolean_lattice(13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
     def test_size_cap(self):
         with pytest.raises(SizeCap):

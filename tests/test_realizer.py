@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import posetdim as pd
+import posetdim.realizer as realizer_module
 from posetdim.b6_data import B6_ORDER_SEQUENCES, B6_ORDERS_SHA256
 from posetdim.errors import (
     BadArity,
@@ -61,6 +62,18 @@ def random_realizer(rng, n, max_d=4):
     return pd.BooleanRealizer(
         n=n, orders=tuple(orders), phi=pd.TruthTable(arity=d, bits=bits)
     )
+
+
+def realized_relation(r):
+    """The (n, n) matrix of answers r gives, pair by pair."""
+    return np.array(
+        [[pd.evaluate(r, x, y) for y in range(r.n)] for x in range(r.n)], dtype=bool
+    )
+
+
+def as_poset(leq):
+    """Wrap any bool matrix; verify reads leq only, not the poset axioms."""
+    return pd.Poset(n=len(leq), leq=leq, labels=tuple(map(str, range(len(leq)))))
 
 
 class TestTruthTables:
@@ -193,10 +206,93 @@ class TestVerify:
             r = random_realizer(rng, p.n)
             assert pd.verify(p, r, threads=3) == pd.verify(p, r, threads=1)
 
+    @pytest.mark.parametrize("cells", (1, 7, 100))
+    def test_agrees_with_oracle_across_many_chunks(self, monkeypatch, cells):
+        # Tiny chunks split even 40 elements into many, often with a short
+        # last chunk, so every thread reuses its buffers and the distinct_only
+        # diagonal mask runs at nonzero row offsets.
+        monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", cells)
+        rng = random.Random(cells)
+        for _ in range(12):
+            r = random_realizer(rng, rng.randint(1, 40), max_d=6)
+            leq = realized_relation(r)
+            for _ in range(rng.randint(0, 3)):  # mismatches anywhere, or none
+                x, y = rng.randrange(r.n), rng.randrange(r.n)
+                leq[x, y] = not leq[x, y]
+            p = as_poset(leq)
+            for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+                expected = verify_oracle(p, r, mode)
+                for threads in (1, 2, 3):
+                    outcome = pd.verify(p, r, mode, threads=threads)
+                    assert outcome.ok == (expected is None)
+                    assert outcome.counterexample == expected
+                    assert outcome.pairs_checked == r.n * (r.n - 1)
+
+    @pytest.mark.parametrize("bit", (0, 1))
+    def test_zero_orders(self, bit):
+        r = pd.BooleanRealizer(
+            n=1, orders=(), phi=pd.TruthTable(arity=0, bits=np.array([bit], np.uint8))
+        )
+        p = pd.chain(1)
+        for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+            outcome = pd.verify(p, r, mode)
+            assert outcome.counterexample == verify_oracle(p, r, mode)
+        assert pd.verify(p, r).ok == bool(bit)
+
+    def test_sixteen_orders_reach_the_last_tuple_index(self):
+        # Sixteen equal orders send every x <= y pair to tuple index 65535,
+        # the last bit of a 65536-bit phi, and every other pair to index 0.
+        n = 5
+        identity = pd.LinearOrder.from_sequence(list(range(n)))
+        r = pd.BooleanRealizer(n=n, orders=(identity,) * 16, phi=pd.and_function(16))
+        assert pd.verify(pd.chain(n), r).ok
+        bits = r.phi.bits.copy()
+        bits[65535] = 0
+        broken = pd.BooleanRealizer(
+            n=n, orders=r.orders, phi=pd.TruthTable(arity=16, bits=bits)
+        )
+        for mode, first in ((REFLEXIVE_INCLUSIVE, (0, 0)), (DISTINCT_ONLY, (0, 1))):
+            c = pd.verify(pd.chain(n), broken, mode).counterexample
+            assert c == verify_oracle(pd.chain(n), broken, mode)
+            assert (c.x, c.y) == first and c.query == (1,) * 16
+
+    def test_sixteen_random_orders_agree_with_oracle(self):
+        rng = random.Random(16)
+        orders = []
+        for _ in range(16):
+            seq = list(range(24))
+            rng.shuffle(seq)
+            orders.append(pd.LinearOrder.from_sequence(seq))
+        bits = np.array([rng.randint(0, 1) for _ in range(1 << 16)], dtype=np.uint8)
+        r = pd.BooleanRealizer(
+            n=24, orders=tuple(orders), phi=pd.TruthTable(arity=16, bits=bits)
+        )
+        leq = realized_relation(r)
+        leq[20, 3] = not leq[20, 3]
+        p = as_poset(leq)
+        for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+            c = pd.verify(p, r, mode, threads=2).counterexample
+            assert c == verify_oracle(p, r, mode) and (c.x, c.y) == (20, 3)
+
+    def test_b13_scan_memory_is_chunk_sized(self):
+        # Per thread: a few chunk-sized buffers, never an (n, n) temporary
+        # (the relation alone is 64 MB as bool).
+        p, r = pd.boolean_lattice(13), pd.upper_bound_realizer(13)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            outcome = pd.verify(p, r, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.ok
+        assert peak - base < 16 * 2**20
+
     def test_first_counterexample_across_chunks(self):
-        """B12 is scanned in four 1024-row chunks.  Swapping neighbours in
-        the orders breaks pairs in rows 2048-2303 (third chunk) and 3072 and
-        up (fourth chunk); every thread count reports the smallest one."""
+        """Swapping neighbours in the orders of B12's realizer breaks pairs
+        in rows 2048-2303 and in rows 3072 and up, which the scan puts in
+        different row chunks; every thread count reports the smallest broken
+        pair, whichever chunk finishes first."""
         p = pd.boolean_lattice(12)
         r = pd.upper_bound_realizer(12)
         seqs = [o.sequence().copy() for o in r.orders]
@@ -221,6 +317,8 @@ class TestVerify:
         )
         assert 2048 <= broken[0][0] < 2304
         assert any(x >= 3072 for x, _ in broken)
+        rows_per_chunk = max(1, realizer_module._CHUNK_CELLS // p.n)
+        assert 2303 // rows_per_chunk < 3072 // rows_per_chunk
         x, y = broken[0]
         for threads in (1, 2, 3):
             c = pd.verify(p, tampered, threads=threads).counterexample

@@ -11,6 +11,7 @@ import pytest
 
 import posetdim as pd
 from posetdim.errors import (
+    BadArity,
     BadParameter,
     DecodeInconsistent,
     FixedPhiArityMismatch,
@@ -89,6 +90,13 @@ class TestEncoding:
         cnf = pd.encode_bdim_sat(pd.chain(2), 9, force=True)
         assert cnf.num_vars == 9 + 2**9 and len(cnf.clauses) == 1025
         assert pd.encode_bdim_sat(pd.chain(129), 1, force=True).num_vars == 129 * 64 + 2
+
+    def test_force_keeps_arity_cap(self):
+        # d = 17 has no truth table; reject it before encoding, even with force.
+        with pytest.raises(BadArity):
+            pd.encode_bdim_sat(pd.chain(2), 17, force=True)
+        with pytest.raises(BadArity):
+            pd.search_realizer(pd.chain(2), 17, force=True)
 
     def test_reflexive_conflict_with_fixed_phi(self):
         phi = pd.TruthTable(arity=1, bits=np.array([1, 0], np.uint8))
