@@ -1,0 +1,51 @@
+"""Pinned bytes of ``dump`` for named families and one parsed poset.
+
+The digests were recorded from the cover computation that squared a dense
+copy of the strict relation; any change to them means the cover pairs, their
+order or the labels changed.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import posetdim as pd
+from posetdim.formats import parse_poset, parse_poset_spec, serialize_poset
+
+DUMP_GOLDEN = {
+    "boolean:12": "2a460d0577a8bf3a06b7b5cde8c1516e54d0f1c874537770d7cfa35be7ded9d5",
+    "chain:300": "4dc665257dbbc757f4ffb1c18399e10517ed7844fadb2f10fa49da0fdbf32267",
+    "grid:4x5": "40e15c01874df0415b053352c8476cd048a94bf30b5569e093c4f541fe39435e",
+    "standard:20": "0fa7fed60b24e15b07a8c0ec18f5211451c79a55a562bc635b4766b9c921b335",
+}
+
+RELABELLED_GOLDEN = (
+    "83008f3eee043e3b9c4ad6690366a9a542a5e8e7cb2778181768f3ba6482c181"
+)
+
+
+def relabelled_random_text(n=60, seed=20261018):
+    """A random order on n elements, written in relation mode under a seeded
+    random relabelling, so index order is not a linear extension."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08]
+    lines = ["poset v1", f"n {n}", "mode relation"]
+    lines += [f"rel {perm[i]} {perm[j]}" for i, j in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def digest(p):
+    return hashlib.sha256(serialize_poset(p).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(DUMP_GOLDEN))
+def test_family_dump_pinned(spec):
+    assert digest(parse_poset_spec(spec)) == DUMP_GOLDEN[spec]
+
+
+def test_relabelled_random_dump_pinned():
+    p = parse_poset(relabelled_random_text())
+    assert pd.some_linear_extension(p) != pd.LinearOrder.from_sequence(range(p.n))
+    assert digest(p) == RELABELLED_GOLDEN
