@@ -157,9 +157,6 @@ _FAMILY_PATTERNS = {
     "antichain": re.compile(r"antichain:(\d+)$"),
 }
 
-POSET_FAMILIES = tuple(sorted(_FAMILY_PATTERNS))
-BUILTIN_REALIZERS = ("b6",)
-
 
 def parse_poset_spec(spec: str) -> Poset:
     """Resolve a named family spec or a path to a poset file."""

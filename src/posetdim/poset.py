@@ -1,8 +1,8 @@
 """Finite posets as dense relation matrices, plus the constructions used
 throughout the toolkit: Boolean lattices, multiset grids, standard examples,
-products, induced subposets and linear extensions.  The block decomposition
-of a Boolean lattice is a bit permutation of element indices and builds no
-poset.
+products, induced subposets and linear extensions.  Covers (and the axiom
+check) come from one greedy walk over packed up-sets, with no matrix product.
+The block decomposition of a Boolean lattice is an index bit permutation.
 
 Conventions pinned here and relied on by file formats and realizer transport:
 
@@ -73,20 +73,17 @@ class Poset:
             raise BadParameter("labels must have one entry per element")
 
     def check_axioms(self) -> None:
-        """Raise unless leq is reflexive, antisymmetric, and transitive.
+        """Raise unless leq is a partial order: the closure of its own covers.
 
         Constructors in this module produce valid matrices by construction;
         this is a debugging aid used by the test suite.
         """
-        if not self.leq.diagonal().all():
-            raise BadParameter("relation is not reflexive")
-        sym = self.leq & self.leq.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            raise BadParameter("relation is not antisymmetric")
-        reach = (self.leq.astype(np.uint8) @ self.leq.astype(np.uint8)) > 0
-        if (reach & ~self.leq).any():
-            raise BadParameter("relation is not transitive")
+        try:
+            closure = from_relation_pairs(self.n, None, strict_cover_pairs(self))
+        except CycleDetected:
+            closure = None
+        if closure is None or not np.array_equal(closure.leq, self.leq):
+            raise BadParameter("relation is not a partial order")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
@@ -261,7 +258,7 @@ def antichain(k: int) -> Poset:
 def product(p: Poset, q: Poset) -> Poset:
     """Componentwise-order product; pair ``(a, b)`` gets index ``a*|Q| + b``."""
     _capped_size(p.n * q.n)
-    leq = np.kron(p.leq, q.leq).astype(bool)
+    leq = np.kron(p.leq, q.leq)
     labels = [f"({pl},{ql})" for pl in p.labels for ql in q.labels]
     return _make(leq, labels)
 
@@ -324,16 +321,14 @@ def some_linear_extension(p: Poset) -> LinearOrder:
     """Deterministic linear extension: repeatedly remove the smallest-index
     minimal element."""
     n = p.n
-    strict = p.leq.copy()
-    np.fill_diagonal(strict, False)
-    indeg = strict.sum(axis=0).astype(np.int64)
+    indeg = p.leq.sum(axis=0) - 1  # strict in-degrees; leq is reflexive
     alive = np.ones(n, dtype=bool)
     rank = np.empty(n, dtype=np.int64)
     for pos in range(n):
         x = int(np.flatnonzero(alive & (indeg == 0))[0])
         rank[x] = pos
         alive[x] = False
-        indeg -= strict[x]
+        indeg -= p.leq[x]
     return LinearOrder(rank=rank)
 
 
@@ -348,8 +343,7 @@ def linear_extensions(
     cut the enumeration short.  Intended for small posets.
     """
     n = p.n
-    strict = p.leq & ~np.eye(n, dtype=bool)
-    preds = [set(np.flatnonzero(strict[:, v])) for v in range(n)]
+    preds = [set(np.flatnonzero(p.leq[:, v])) - {v} for v in range(n)]
     cap = None if limit is None else limit + 1  # one extra to detect truncation
     out: list[LinearOrder] = []
     placed: list[int] = []
@@ -382,8 +376,7 @@ def is_linear_extension(p: Poset, order: LinearOrder) -> bool:
     """True iff ``x < y`` in the poset implies ``rank(x) < rank(y)``."""
     if order.n != p.n:
         raise SizeMismatch(f"order on {order.n} elements vs poset on {p.n}")
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
-    violation = strict & (order.rank[:, None] > order.rank[None, :])
+    violation = p.leq & (order.rank[:, None] > order.rank[None, :])
     return not violation.any()
 
 
@@ -415,10 +408,24 @@ def block_decomposition_iso(n: int, block_sizes: list[int]) -> np.ndarray:
 
 
 def strict_cover_pairs(p: Poset) -> list[tuple[int, int]]:
-    """Transitive-reduction edges (x, y) with x covered by y, ascending."""
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
-    # Path counts are at most n - 2, exact in float32 for every n <= 2**24.
-    s = strict.astype(np.float32)
-    two_step = (s @ s) > 0
-    covers = strict & ~two_step
-    return [(int(x), int(y)) for x, y in np.argwhere(covers)]
+    """Transitive-reduction edges (x, y) with x covered by y, ascending.
+
+    Up-sets are packed into ints, columns ordered by down-set size (a linear
+    extension), so the lowest bit left in x's strict up-set is a cover of x.
+    Each step clears that cover's up-set and its bit, so it ends on any input.
+    """
+    order = np.argsort(p.leq.sum(axis=0), kind="stable")
+    pos = np.argsort(order)
+    up = [
+        int.from_bytes(np.packbits(row[order], bitorder="little").tobytes(), "little")
+        for row in p.leq
+    ]
+    pairs = []
+    for x in range(p.n):
+        rest = up[x] & ~(1 << int(pos[x]))
+        while rest:
+            low = rest & -rest
+            y = int(order[low.bit_length() - 1])
+            pairs.append((x, y))
+            rest &= ~(up[y] | low)
+    return sorted(pairs)

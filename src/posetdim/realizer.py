@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import b6_data
-from .errors import BadArity, BadParameter, NotAnExtension, SizeMismatch
+from .errors import BadArity, BadParameter, NotAnExtension, ParseError, SizeMismatch
 from .poset import (
     LinearOrder,
     Poset,
@@ -265,10 +265,15 @@ def canonical_grid_realizer(n: int, m: int) -> BooleanRealizer:
 
 def b6_realizer() -> BooleanRealizer:
     """The bundled 5-order realizer of the 64-element Boolean lattice,
-    with phi = at-most-one-zero on 5 bits."""
-    orders = tuple(
-        LinearOrder.from_sequence(list(seq)) for seq in b6_data.B6_ORDER_SEQUENCES
-    )
+    with phi = at-most-one-zero on 5 bits.  The orders are checked against
+    their bundled SHA-256 first; a mismatch is a ParseError."""
+    import hashlib  # loads OpenSSL, about 3 MB RSS, so only where it is used
+
+    seqs = b6_data.B6_ORDER_SEQUENCES
+    canon = "\n".join(" ".join(str(e) for e in seq) for seq in seqs)
+    if hashlib.sha256(canon.encode("ascii")).hexdigest() != b6_data.B6_ORDERS_SHA256:
+        raise ParseError("bundled B6 orders do not match their SHA-256 checksum")
+    orders = tuple(LinearOrder.from_sequence(list(seq)) for seq in seqs)
     return BooleanRealizer(n=64, orders=orders, phi=threshold_at_most_one_zero(5))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import posetdim as pd
+from posetdim import b6_data
 from posetdim.cli import main
 from posetdim.formats import parse_realizer, serialize_realizer
 
@@ -46,6 +47,13 @@ class TestVerifyCommand:
     def test_wrong_size_builtin_is_io_error(self, capsys):
         code, _, err = run(capsys, "verify", "boolean:3", "builtin:b6")
         assert code == 3
+
+    def test_corrupt_bundled_b6_is_io_error(self, capsys, monkeypatch):
+        seqs = list(b6_data.B6_ORDER_SEQUENCES)
+        seqs[0], seqs[1] = seqs[1], seqs[0]
+        monkeypatch.setattr(b6_data, "B6_ORDER_SEQUENCES", tuple(seqs))
+        code, out, err = run(capsys, "verify", "boolean:6", "builtin:b6")
+        assert code == 3 and out == "" and "checksum" in err
 
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "cube:3", "builtin:b6")

@@ -20,6 +20,7 @@ from posetdim.errors import (
     IndexOutOfRange,
     SizeCap,
 )
+from posetdim.poset import strict_cover_pairs
 
 from corpus import dim_corpus, five_element_posets, four_element_posets
 
@@ -97,6 +98,74 @@ class TestFromRelationPairs:
             n, None, [(int(x), int(y)) for x, y in np.argwhere(p.leq)]
         )
         assert np.array_equal(p.leq, again.leq)
+
+
+def cover_oracle(leq):
+    """Pairs x < y with no z strictly between, by brute force."""
+    n = len(leq)
+    lt = [[leq[x][y] and x != y for y in range(n)] for x in range(n)]
+    return [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if lt[x][y] and not any(lt[x][z] and lt[z][y] for z in range(n))
+    ]
+
+
+def raw_poset(leq):
+    """A Poset around an arbitrary bool matrix, bypassing the constructors."""
+    leq = np.asarray(leq, dtype=bool)
+    return pd.Poset(n=len(leq), leq=leq, labels=tuple(map(str, range(len(leq)))))
+
+
+class TestCoversAndAxioms:
+    @given(acyclic_pairs, st.data())
+    def test_covers_match_bruteforce(self, case, data):
+        n, pairs = case
+        perm = data.draw(st.permutations(range(n)))  # index order not an extension
+        p = pd.from_relation_pairs(n, None, [(perm[i], perm[j]) for i, j in pairs])
+        assert strict_cover_pairs(p) == cover_oracle(p.leq.tolist())
+
+    def test_rejects_relation_past_path_count_wrap(self):
+        # x=0 <= z_i <= y=257 through 256 middles z_i, but not 0 <= 257: a
+        # path count taken mod 256 reads zero here.
+        leq = np.eye(258, dtype=bool)
+        leq[0, 1:257] = True
+        leq[1:257, 257] = True
+        with pytest.raises(BadParameter):
+            raw_poset(leq).check_axioms()
+
+    @pytest.mark.parametrize(
+        "leq",
+        [
+            [[1, 1, 0], [0, 1, 1], [1, 0, 1]],  # 3-cycle, not closed
+            [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # 3-cycle, closed
+            [[1, 1, 1], [0, 0, 1], [0, 0, 1]],  # chain missing 1 <= 1
+        ],
+        ids=["cycle", "closed-cycle", "non-reflexive"],
+    )
+    def test_rejects_invalid_relations(self, leq):
+        with pytest.raises(BadParameter):  # and the cover walk inside ends
+            raw_poset(leq).check_axioms()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pd.boolean_lattice(12),
+            lambda: pd.chain(300),
+            lambda: pd.multiset_grid(4, 5),
+            lambda: pd.standard_example(200),
+            lambda: pd.antichain(300),
+            lambda: pd.product(pd.chain(20), pd.boolean_lattice(4)),
+            lambda: pd.subposet(pd.boolean_lattice(10), range(1, 1024, 3)),
+        ],
+        ids=["boolean12", "chain300", "grid4x5", "standard200", "antichain300",
+             "chain20xB4", "subposet"],
+    )
+    def test_families_past_256_pass(self, build):
+        p = build()
+        assert p.n > 256
+        p.check_axioms()
 
 
 class TestBooleanLattice:

@@ -12,11 +12,13 @@ from hypothesis import given, strategies as st
 
 import posetdim as pd
 import posetdim.realizer as realizer_module
+from posetdim import b6_data
 from posetdim.b6_data import B6_ORDER_SEQUENCES, B6_ORDERS_SHA256
 from posetdim.errors import (
     BadArity,
     BadParameter,
     NotAnExtension,
+    ParseError,
     SizeCap,
     SizeMismatch,
 )
@@ -441,6 +443,15 @@ class TestB6Realizer:
         r = pd.b6_realizer()
         assert r.n == 64 and r.d == 5
         assert r.phi == pd.threshold_at_most_one_zero(5)
+
+    def test_checksum_checked_at_load(self, monkeypatch):
+        # Swapped orders still realize B6 (phi is symmetric), so only the
+        # checksum can tell that the bundled data changed.
+        seqs = list(B6_ORDER_SEQUENCES)
+        seqs[0], seqs[1] = seqs[1], seqs[0]
+        monkeypatch.setattr(b6_data, "B6_ORDER_SEQUENCES", tuple(seqs))
+        with pytest.raises(ParseError, match="checksum"):
+            pd.b6_realizer()
 
 
 class TestComposeProduct:
