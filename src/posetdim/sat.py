@@ -261,8 +261,9 @@ def check_model(
     return bool(np.logical_or.reduceat(true_lit, clauses.offsets[:-1]).all())
 
 
-def _branch_order(cnf: CnfInstance) -> list[int]:
-    """Deterministic branching order for the DPLL search.
+def _branch_order(varmap: VarMap, used: np.ndarray) -> list[int]:
+    """Deterministic branching order for the DPLL search over the variables
+    in used (ascending ids).
 
     For realizer instances, order variables are taken pair-major (all orders
     for pair (0,1), then pair (0,2), ...) so that each pair's complete query
@@ -270,8 +271,9 @@ def _branch_order(cnf: CnfInstance) -> list[int]:
     right away; the remaining variables follow in index order, which is all
     there is on instances without a varmap.
     """
-    pair_major = cnf.varmap.order_ids().T.ravel().tolist()
-    return pair_major + list(range(len(pair_major) + 1, cnf.num_vars + 1))
+    pair_major = varmap.order_ids().T.ravel()
+    rest = used[used > len(pair_major)]
+    return [*pair_major[np.isin(pair_major, used)].tolist(), *rest.tolist()]
 
 
 def _literal_table(
@@ -290,44 +292,93 @@ def _literal_table(
     return values, lambda a: np.searchsorted(values, a)
 
 
+def _width_runs(clauses: ClauseArray) -> Iterator[tuple[int, np.ndarray]]:
+    """(id of the first clause, one clause per row) for each maximal run of
+    clauses of equal width, in input order."""
+    widths = clauses.widths
+    bounds = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a < b:
+            block = clauses.lits[clauses.offsets[a] : clauses.offsets[b]]
+            yield a, block.reshape(b - a, -1)
+
+
+def _first_copies(clauses: ClauseArray) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, marked): masks over the clauses.
+
+    A row is marked when a variable repeats in it.  keep is False for a
+    tautology and for every clause whose literal set, repeats dropped,
+    already appeared earlier, since a duplicate is subsumed by its first
+    copy.  Each row is sorted once, on literal codes 2*var + (lit < 0): the
+    sorted row is the canonical form of a clause without repeats, and a
+    repeated variable lands in adjacent columns.  Canonical rows of one width
+    are packed into int64 keys and grouped by a stable sort, so each group
+    starts with its earliest copy.
+    """
+    marked = np.zeros(len(clauses), dtype=bool)
+    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for a, block in _width_runs(clauses):
+        code = np.abs(block).astype(np.int64) << 1 | (block < 0)
+        code.sort(axis=1)
+        var = code >> 1
+        mark = (var[:, 1:] == var[:, :-1]).any(axis=1)
+        marked[a : a + len(block)] = mark
+        plain = np.flatnonzero(~mark)
+        groups.setdefault(block.shape[1], []).append((code[plain], a + plain))
+        for k in np.flatnonzero(mark).tolist():
+            row = sorted(set(code[k].tolist()))
+            if len({c >> 1 for c in row}) == len(row):  # else a tautology
+                groups.setdefault(len(row), []).append((np.array([row]), [a + k]))
+    keep = np.zeros(len(clauses), dtype=bool)
+    for parts in groups.values():
+        rows, ids = map(np.concatenate, zip(*parts))
+        bits = int(rows.max(initial=1)).bit_length()
+        per = 63 // bits  # codes packed into one int64 key
+        keys = np.zeros((-(-rows.shape[1] // per), len(rows)), dtype=np.int64)
+        for j, col in enumerate(rows.T):
+            keys[j // per] = keys[j // per] << bits | col
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        keep[ids[order[first]]] = True
+    return keep, marked
+
+
 def _solver_clauses(
     clauses: ClauseArray,
-) -> tuple[list[list[int]], list[int], np.ndarray]:
+) -> tuple[list[list[int]], list[int], np.ndarray, np.ndarray]:
     """(clauses with two or more literals, unit literals, first two literals
-    of each kept clause), all in input order.
+    of each kept clause, ascending ids of the variables in them), all in
+    input order.
 
-    Repeated literals are dropped (first occurrence kept) and tautologies
-    removed.  Rows with a repeated variable are rare and take a Python path;
-    every other row is copied in blocks of equal width.  The lists share one
-    int object per literal value instead of one per occurrence.
+    Repeated literals are dropped (first occurrence kept), tautologies
+    removed, and so is every clause whose literal set already appeared
+    earlier (see _first_copies).  The search does not change: unit
+    propagation reaches the same fixpoint without a duplicate.  Rows with a
+    repeated variable are rare and take a Python path; every other kept row
+    is copied in blocks of equal width.  The lists share one int object per
+    literal value instead of one per occurrence.
     """
+    keep, marked = _first_copies(clauses)
     values, position = _literal_table(clauses.lits)
     shared = values.astype(object)
     kept: list[list[int]] = []
     units: list[int] = []
     heads: list[np.ndarray] = [np.empty((0, 2), dtype=np.int32)]
-    widths = clauses.widths
-    bounds = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if a == b:
-            continue
-        w = int(widths[a])
-        block = clauses.lits[clauses.offsets[a] : clauses.offsets[b]].reshape(-1, w)
+    for a, block in _width_runs(clauses):
+        sel = keep[a : a + len(block)]
+        block = block[sel]
         rows = shared[position(block)].tolist()
-        if w == 1:
+        if block.shape[1] == 1:
             units.extend(lit for (lit,) in rows)
             continue
-        # rows where a variable repeats: a duplicate or complementary literal
-        var = np.sort(np.abs(block), axis=1)
-        marked = np.flatnonzero((var[:, 1:] == var[:, :-1]).any(axis=1))
         prev = 0
-        for k in marked.tolist():
+        for k in np.flatnonzero(marked[a : a + len(sel)][sel]).tolist():
             kept.extend(rows[prev:k])
             heads.append(block[prev:k, :2])
             prev = k + 1
             lits = list(dict.fromkeys(rows[k]))
-            if any(-lit in lits for lit in lits):
-                continue  # tautology
             if len(lits) == 1:
                 units.append(lits[0])
             else:
@@ -335,7 +386,9 @@ def _solver_clauses(
                 heads.append(np.array([lits[:2]], dtype=np.int32))
         kept.extend(rows[prev:])
         heads.append(block[prev:, :2])
-    return kept, units, np.concatenate(heads)
+    used = np.zeros(int(np.abs(clauses.lits).max(initial=0)) + 1, dtype=bool)
+    used[np.abs(clauses.lits[np.repeat(keep, clauses.widths)])] = True
+    return kept, units, np.concatenate(heads), np.flatnonzero(used)
 
 
 def _watch_lists(heads: np.ndarray) -> dict[int, list[int]]:
@@ -381,12 +434,16 @@ def internal_sat_solve(
 ) -> SatResult:
     """Complete DPLL with two watched literals and chronological backtracking.
 
-    Branching is deterministic: variables in the _branch_order sequence, True
-    first.  Sat assignments are post-checked against every clause before
-    being returned; exceeding conflict_limit yields status "unknown".
+    The search runs on the clauses of _solver_clauses, so duplicate clauses
+    are loaded once.  Branching is deterministic: the variables that occur
+    in those clauses, in the _branch_order sequence, True first.  A variable
+    that occurs in none is set True in the model, the value that decision
+    would give it.  Sat assignments are post-checked against every clause of
+    cnf, duplicates included, before being returned; exceeding
+    conflict_limit yields status "unknown".
     """
     nvars = cnf.num_vars
-    clauses, units, heads = _solver_clauses(cnf.clauses)
+    clauses, units, heads, used = _solver_clauses(cnf.clauses)
 
     assign = [0] * (nvars + 1)  # 0 unassigned, +1 true, -1 false
     watches = _watch_lists(heads)
@@ -396,7 +453,8 @@ def internal_sat_solve(
     qhead = 0
     decisions: list[tuple[int, int, bool]] = []  # (trail mark, literal, flipped)
     conflicts = 0
-    branch_order = _branch_order(cnf)
+    branch_order = _branch_order(cnf.varmap, used)
+    nbranch = len(branch_order)
 
     def value(lit: int) -> int:
         v = assign[abs(lit)]
@@ -453,10 +511,10 @@ def internal_sat_solve(
     pos = 0
     while True:
         if propagate():
-            while pos < nvars and assign[branch_order[pos]] != 0:
+            while pos < nbranch and assign[branch_order[pos]] != 0:
                 pos += 1
-            if pos >= nvars:
-                model = [False] + [assign[v] == 1 for v in range(1, nvars + 1)]
+            if pos == nbranch:
+                model = [False, *(a != -1 for a in assign[1:])]
                 if not check_model(cnf.clauses, model):
                     raise AssertionError("internal solver produced a bad model")
                 return SatResult(

@@ -26,6 +26,7 @@ from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
 from posetdim.sat import (
     CnfInstance,
     VarMap,
+    _solver_clauses,
     check_model,
     internal_sat_solve,
     parse_dimacs,
@@ -250,6 +251,58 @@ class TestInternalSolver:
             assert (res.status == "sat") == brute_sat, (trial, clauses)
             if res.status == "sat":
                 assert check_model(clauses, res.assignment)
+
+
+class TestSolverLoad:
+    @pytest.mark.parametrize(
+        "spec, d, phi, distinct",
+        [("boolean:4", 3, None, 5281), ("boolean:6", 5, "threshold", 450142)],
+    )
+    def test_distinct_clause_counts(self, spec, d, phi, distinct):
+        fixed = pd.threshold_at_most_one_zero(d) if phi else None
+        cnf = pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
+        kept, units, heads, used = _solver_clauses(cnf.clauses)
+        assert len(kept) + len(units) == distinct
+        assert len(heads) == len(kept)
+        assert used.tolist() == list(range(1, cnf.num_vars + 1))
+
+    def test_permuted_copies_keep_the_first(self):
+        clauses = [[3, 1, 2], [4, -5], [1, 2, 3], [-5, 4], [2, 3, 1], [6, 7], [2]]
+        cnf = CnfInstance(7, clauses, VarMap())
+        kept, units, heads, used = _solver_clauses(cnf.clauses)
+        assert kept == [[3, 1, 2], [4, -5], [6, 7]]
+        assert units == [2]
+        assert heads.tolist() == [[3, 1], [4, -5], [6, 7]]
+        assert used.tolist() == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_copies_with_repeated_literals(self):
+        clauses = [
+            [1, 2, 2], [2, 1],  # the reduced clause comes first
+            [6, 7], [7, 7, 6],  # the plain clause comes first
+            [1, 1, 2, -3], [-3, 2, 1], [2, -3, 1, -3],
+            [5, 5], [5],  # a reduced unit and its copy
+            [4, -4, 8], [8, 4, -4],  # tautologies
+        ]
+        cnf = CnfInstance(8, clauses, VarMap())
+        kept, units, heads, used = _solver_clauses(cnf.clauses)
+        assert kept == [[1, 2], [6, 7], [1, 2, -3]]
+        assert units == [5]
+        assert heads.tolist() == [[1, 2], [6, 7], [1, 2]]
+        assert used.tolist() == [1, 2, 3, 5, 6, 7]
+
+    def test_unconstrained_variables_are_true_in_bounded_memory(self):
+        import tracemalloc
+
+        cnf = parse_dimacs("p cnf 1000000 1\n1 0\n")
+        tracemalloc.start()
+        try:
+            result = internal_sat_solve(cnf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == "sat" and result.conflicts == 0
+        assert len(result.assignment) == 1_000_001 and all(result.assignment[1:])
+        assert peak < 64 << 20
 
 
 class TestDecodeModel:

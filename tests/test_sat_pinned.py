@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import posetdim as pd
@@ -109,3 +110,32 @@ def test_solver_agrees_with_brute_force_on_messy_clauses():
         if brute_sat:
             assert check_model(clauses, result.assignment)
     assert seen_marked > 100 and seen_units > 100
+
+
+def _doubled(rng, clauses):
+    """Every clause twice: the copy with its literals shuffled, and the
+    copies interleaved at random with the originals."""
+    copies = [rng.sample(c, len(c)) for c in clauses]
+    sources = [iter(clauses), iter(copies)]
+    picks = [0] * len(clauses) + [1] * len(copies)
+    rng.shuffle(picks)
+    return [next(sources[k]) for k in picks]
+
+
+def test_repeated_clauses_leave_the_search_unchanged():
+    # A chronological DPLL with fixed branching visits the same tree whatever
+    # the clause multiset, because unit propagation has a unique fixpoint.
+    rng = random.Random(20261019)
+    cases = [(*_random_cnf(rng), VarMap()) for _ in range(300)]
+    b3 = pd.encode_bdim_sat(pd.boolean_lattice(3), 2)  # pinned above: 56 conflicts
+    b3_clauses = np.split(b3.clauses.lits, b3.clauses.offsets[1:-1])
+    cases.append((b3.num_vars, [c.tolist() for c in b3_clauses], b3.varmap))
+    seen_conflicts = 0
+    for trial, (nv, clauses, varmap) in enumerate(cases):
+        once = internal_sat_solve(CnfInstance(nv, clauses, varmap))
+        twice = internal_sat_solve(CnfInstance(nv, _doubled(rng, clauses), varmap))
+        assert (twice.status, twice.conflicts, twice.assignment) == (
+            once.status, once.conflicts, once.assignment
+        ), (trial, clauses)
+        seen_conflicts += once.conflicts > 0
+    assert seen_conflicts > 25 and once.conflicts == 56
