@@ -2,8 +2,10 @@
 internal solver's answers, conflict counts and models on fixed instances.
 
 The digests and trajectories below were recorded from the list-based encoder
-and solver load that preceded the array-based ones; any change to them means
-the numbering, the clause order or the search order changed.
+and solver load that preceded the array-based ones, except the B6 pin, which
+is the only instance large enough to span several DIMACS write chunks and was
+recorded from the index-gather writer; any change to them means the
+numbering, the clause order or the search order changed.
 """
 
 import hashlib
@@ -33,6 +35,11 @@ EMIT_GOLDEN = [
         ["boolean:3", "--d", "3", "--phi", "and"],
         "44a836680cee106a9af40c1b9c754f0d1727837ee8bb90f4474b88f236477efe",
         "a9db40f51dde47146e736982861ff4d443c89cd303803ae01bcf7128cb28e323",
+    ),
+    (
+        ["boolean:6", "--d", "5"],
+        "e87a9a512e0f0d7a924aa93e7358adc3aa429d1af50b1fdeaab877528ad91d96",
+        "52059f17d98288c1294d5b692218f4051fffc0e4d6f9cda9b5f2dc64ad027a7e",
     ),
 ]
 
