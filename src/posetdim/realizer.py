@@ -201,9 +201,11 @@ def verify(
         t.fill(0)
         for rank in ranks[::-1]:  # the last order is the most significant bit
             np.less_equal(rank[rows, None], rank, out=cells)
-            np.left_shift(t, 1, out=t)
+            np.add(t, t, out=t)
             np.bitwise_or(t, cells, out=t)
-        np.take(phi, t, out=cells)
+        # Every index is below 2**d, so "clip" never fires; the default
+        # "raise" would copy t to intp and bounds-check each index.
+        np.take(phi, t, out=cells, mode="clip")
         np.not_equal(cells, p.leq[rows], out=cells)  # now True at mismatches
         flat = cells.reshape(-1)
         if mode == DISTINCT_ONLY:

@@ -554,26 +554,25 @@ def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
     """DIMACS text in chunks: the header, then one clause per line.
 
     Each literal maps to a precomputed token ("12 ", "-3 "; literal 0 stands
-    for the clause terminator "0\\n"), and a chunk is one gather from the
-    token bytes.
+    for the clause terminator "0\\n") held in a fixed-width slot padded with
+    NUL bytes.  For each run of equal-width clauses, up to _DIMACS_CHUNK rows
+    at a time, one gather of slots over a (rows, width + 1) index matrix
+    whose last column is the terminator gives the chunk; dropping the NULs
+    leaves the text, since no decimal token contains one.
     """
-    lits, offsets = cnf.clauses.lits, cnf.clauses.offsets
     yield f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n".encode()
-    values, position = _literal_table(lits)
+    values, position = _literal_table(cnf.clauses.lits)
     tokens = [b"%d " % v for v in values.tolist()]
-    tokens[np.searchsorted(values, 0)] = b"0\n"
-    size = np.fromiter(map(len, tokens), np.int64, len(tokens))
-    start = np.cumsum(size) - size
-    blob = np.frombuffer(b"".join(tokens), dtype=np.uint8)
-    for c0 in range(0, len(cnf.clauses), _DIMACS_CHUNK):
-        c1 = min(c0 + _DIMACS_CHUNK, len(cnf.clauses))
-        lo = offsets[c0]
-        items = np.insert(lits[lo : offsets[c1]], offsets[c0 + 1 : c1 + 1] - lo, 0)
-        tok = position(items)
-        tok_size = size[tok]
-        end = np.cumsum(tok_size)
-        src = np.repeat(start[tok] - (end - tok_size), tok_size) + np.arange(end[-1])
-        yield blob[src].tobytes()
+    end = int(np.searchsorted(values, 0))
+    tokens[end] = b"0\n"
+    slots = np.array(tokens)
+    slots = slots.view(f"V{slots.itemsize}")
+    for _, block in _width_runs(cnf.clauses):
+        for r0 in range(0, len(block), _DIMACS_CHUNK):
+            rows = block[r0 : r0 + _DIMACS_CHUNK]
+            tok = np.full((len(rows), rows.shape[1] + 1), end, dtype=np.intp)
+            tok[:, :-1] = position(rows)
+            yield slots[tok].tobytes().translate(None, b"\0")
 
 
 def to_dimacs(cnf: CnfInstance) -> str:

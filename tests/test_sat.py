@@ -4,6 +4,7 @@ model decoding."""
 import stat
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from posetdim.sat import (
     parse_solver_output,
     to_dimacs,
     varmap_sidecar,
+    write_dimacs,
 )
 
 
@@ -378,6 +380,61 @@ class TestDimacsFormats:
             parse_solver_output("no result here\n", 2)
         with pytest.raises(UnparseableOutput):
             parse_solver_output("s SATISFIABLE\nv 1 x 0\n", 2)
+
+
+def _naive_dimacs(num_vars, clauses):
+    """Reference DIMACS text, one str.join per clause."""
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    return f"p cnf {num_vars} {len(clauses)}\n{body}"
+
+
+def _random_clauses(rng, top):
+    """Interleaved runs of equal-width clauses (widths 1-17) over ids up to
+    top, drawn from a small pool so that literals repeat within clauses."""
+    pool = rng.integers(1, top + 1, size=int(rng.integers(1, 40))).tolist()
+    pool.append(top)
+    clauses = []
+    for _ in range(int(rng.integers(1, 12))):
+        width = int(rng.integers(1, 18))
+        for _ in range(int(rng.integers(1, 20))):
+            ids = rng.choice(pool, size=width).tolist()
+            signs = rng.choice([-1, 1], size=width).tolist()
+            clauses.append([s * v for s, v in zip(signs, ids)])
+    return clauses
+
+
+class TestDimacsWriter:
+    @pytest.mark.parametrize("chunk", [1, 3, pd.sat._DIMACS_CHUNK])
+    def test_matches_naive_writer(self, monkeypatch, chunk):
+        monkeypatch.setattr(pd.sat, "_DIMACS_CHUNK", chunk)
+        rng = np.random.default_rng(20261018)
+        # Ids up to 1 << 16 take the dense literal table; up to 2**31 - 1
+        # (12-byte tokens such as "-2147483647 ") the sparse one.
+        for top in [1, 9, 999, 2**31 - 1] * 25 + [1 << 16] * 3:
+            clauses = _random_clauses(rng, top)
+            cnf = CnfInstance(top, clauses, VarMap())
+            assert to_dimacs(cnf) == _naive_dimacs(top, clauses)
+
+    def test_zero_clauses(self):
+        assert to_dimacs(CnfInstance(5, [], VarMap())) == "p cnf 5 0\n"
+        assert to_dimacs(CnfInstance(0, [], VarMap())) == "p cnf 0 0\n"
+
+    def test_write_dimacs_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for k, top in enumerate([3, 1 << 16, 2**31 - 1]):
+            cnf = CnfInstance(top, _random_clauses(rng, top), VarMap())
+            write_dimacs(cnf, tmp_path / f"{k}.cnf")
+            assert (tmp_path / f"{k}.cnf").read_bytes() == to_dimacs(cnf).encode()
+
+    def test_b6_write_peak_bounded(self, tmp_path):
+        cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5)
+        tracemalloc.start()
+        try:
+            write_dimacs(cnf, tmp_path / "b6.cnf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def _script(tmp_path, name, body):
