@@ -203,8 +203,8 @@ def verify(
             np.less_equal(rank[rows, None], rank, out=cells)
             np.add(t, t, out=t)
             np.bitwise_or(t, cells, out=t)
-        # Every index is below 2**d, so "clip" never fires; the default
-        # "raise" would copy t to intp and bounds-check each index.
+        # Every index is below 2**d, so "clip" never fires and spares the
+        # per-index bounds check of the default "raise".
         np.take(phi, t, out=cells, mode="clip")
         np.not_equal(cells, p.leq[rows], out=cells)  # now True at mismatches
         flat = cells.reshape(-1)

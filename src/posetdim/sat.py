@@ -10,6 +10,8 @@ models are re-checked locally before being trusted.
 Variable ids follow a closed form (see VarMap) and clauses live in flat
 integer arrays (see ClauseArray), so encoding, DIMACS export, model checks
 and decoding are array operations rather than per-literal Python work.
+DIMACS export gathers one fixed-width token slot per literal, a run of
+equal-width clauses at a time, so it never indexes individual bytes.
 """
 
 from __future__ import annotations
@@ -565,8 +567,7 @@ def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
     tokens = [b"%d " % v for v in values.tolist()]
     end = int(np.searchsorted(values, 0))
     tokens[end] = b"0\n"
-    slots = np.array(tokens)
-    slots = slots.view(f"V{slots.itemsize}")
+    slots = np.array(tokens)  # dtype S<widest token>: shorter ones NUL-padded
     for _, block in _width_runs(cnf.clauses):
         for r0 in range(0, len(block), _DIMACS_CHUNK):
             rows = block[r0 : r0 + _DIMACS_CHUNK]
