@@ -229,10 +229,7 @@ def standard_example(n: int) -> Poset:
         raise BadParameter(f"standard example needs n >= 2, got {n}")
     size = _capped_size(2 * n)
     leq = np.eye(size, dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                leq[i, n + j] = True
+    leq[:n, n:] = ~np.eye(n, dtype=bool)
     labels = [f"{{{i + 1}}}" for i in range(n)] + [f"~{{{j + 1}}}" for j in range(n)]
     return _make(leq, labels)
 

@@ -278,17 +278,22 @@ def _branch_order(varmap: VarMap, used: np.ndarray) -> list[int]:
     return [*pair_major[np.isin(pair_major, used)].tolist(), *rest.tolist()]
 
 
+def _largest_id(lits: np.ndarray) -> int:
+    """The largest variable id in lits (0 when empty), with no |lits| copy."""
+    return max(int(lits.max(initial=0)), -int(lits.min(initial=0)))
+
+
 def _literal_table(
     lits: np.ndarray,
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """(ascending literal values covering lits and 0, map from literal arrays
     to positions in that table).
 
-    The table spans -top..top when ids are dense; otherwise it holds only the
-    distinct values, so one huge id does not cost memory in proportion.
+    The table spans -top..top when top, the largest id, is at most the
+    literal count; otherwise it holds only the distinct values.
     """
-    top = int(np.abs(lits).max(initial=0))
-    if top <= max(len(lits), 1 << 16):
+    top = _largest_id(lits)
+    if top <= len(lits):
         return np.arange(-top, top + 1), lambda a: a + top
     values = np.union1d(lits, [0])
     return values, lambda a: np.searchsorted(values, a)
@@ -351,16 +356,16 @@ def _solver_clauses(
     clauses: ClauseArray,
 ) -> tuple[list[list[int]], list[int], np.ndarray, np.ndarray]:
     """(clauses with two or more literals, unit literals, first two literals
-    of each kept clause, ascending ids of the variables in them), all in
-    input order.
+    of each kept clause, ascending ids of the variables in them).
 
     Repeated literals are dropped (first occurrence kept), tautologies
     removed, and so is every clause whose literal set already appeared
-    earlier (see _first_copies).  The search does not change: unit
-    propagation reaches the same fixpoint without a duplicate.  Rows with a
-    repeated variable are rare and take a Python path; every other kept row
-    is copied in blocks of equal width.  The lists share one int object per
-    literal value instead of one per occurrence.
+    earlier (see _first_copies).  Each run of equal input width gives its
+    kept rows without a repeated variable, in input order and copied in one
+    block, then its rare rows with one, reduced on a Python path.  Neither
+    duplicates nor order change the search: unit propagation reaches one
+    fixpoint, or a conflict, in any order.  The lists share one int object
+    per literal value instead of one per occurrence.
     """
     keep, marked = _first_copies(clauses)
     values, position = _literal_table(clauses.lits)
@@ -370,25 +375,22 @@ def _solver_clauses(
     heads: list[np.ndarray] = [np.empty((0, 2), dtype=np.int32)]
     for a, block in _width_runs(clauses):
         sel = keep[a : a + len(block)]
-        block = block[sel]
-        rows = shared[position(block)].tolist()
-        if block.shape[1] == 1:
+        mark = marked[a : a + len(block)]
+        plain = block[sel & ~mark]
+        rows = shared[position(plain)].tolist()
+        if block.shape[1] == 1:  # no repeats in a single literal
             units.extend(lit for (lit,) in rows)
             continue
-        prev = 0
-        for k in np.flatnonzero(marked[a : a + len(sel)][sel]).tolist():
-            kept.extend(rows[prev:k])
-            heads.append(block[prev:k, :2])
-            prev = k + 1
-            lits = list(dict.fromkeys(rows[k]))
+        kept.extend(rows)
+        heads.append(plain[:, :2])
+        for row in shared[position(block[sel & mark])].tolist():
+            lits = list(dict.fromkeys(row))
             if len(lits) == 1:
                 units.append(lits[0])
             else:
                 kept.append(lits)
                 heads.append(np.array([lits[:2]], dtype=np.int32))
-        kept.extend(rows[prev:])
-        heads.append(block[prev:, :2])
-    used = np.zeros(int(np.abs(clauses.lits).max(initial=0)) + 1, dtype=bool)
+    used = np.zeros(_largest_id(clauses.lits) + 1, dtype=bool)
     used[np.abs(clauses.lits[np.repeat(keep, clauses.widths)])] = True
     return kept, units, np.concatenate(heads), np.flatnonzero(used)
 
@@ -437,19 +439,25 @@ def internal_sat_solve(
     """Complete DPLL with two watched literals and chronological backtracking.
 
     The search runs on the clauses of _solver_clauses, so duplicate clauses
-    are loaded once.  Branching is deterministic: the variables that occur
-    in those clauses, in the _branch_order sequence, True first.  A variable
-    that occurs in none is set True in the model, the value that decision
-    would give it.  Sat assignments are post-checked against every clause of
-    cnf, duplicates included, before being returned; exceeding
-    conflict_limit yields status "unknown".
+    are loaded once.  Clause c watches c[0] and c[1]: a falsified watch is
+    swapped into c[1] and, unless c[0] is true, replaced from c[2:] by a
+    literal that is not false; failing that, c[0] is unit or in conflict.
+    value[lit] is the value of literal lit, so value[-v] is its complement.
+    Branching is deterministic: the variables that occur in those clauses,
+    in the _branch_order sequence, True first.  A variable that occurs in
+    none is set True in the model, the value that decision would give it.
+    Sat assignments are post-checked against every clause of cnf, duplicates
+    included, before being returned; exceeding conflict_limit yields status
+    "unknown".  A variable above cnf.num_vars raises BadParameter.
     """
     nvars = cnf.num_vars
+    if _largest_id(cnf.clauses.lits) > nvars:
+        raise BadParameter(f"a clause names a variable above num_vars = {nvars}")
     clauses, units, heads, used = _solver_clauses(cnf.clauses)
+    top = int(used[-1]) if len(used) else 0
 
-    assign = [0] * (nvars + 1)  # 0 unassigned, +1 true, -1 false
+    value = [0] * (2 * top + 1)  # value[lit]: 0 unassigned, +1 true, -1 false
     watches = _watch_lists(heads)
-    watched = [c[:2] for c in clauses]
 
     trail: list[int] = []
     qhead = 0
@@ -458,17 +466,10 @@ def internal_sat_solve(
     branch_order = _branch_order(cnf.varmap, used)
     nbranch = len(branch_order)
 
-    def value(lit: int) -> int:
-        v = assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def enqueue(lit: int) -> bool:
-        v = value(lit)
-        if v == 1:
-            return True
-        if v == -1:
-            return False
-        assign[abs(lit)] = 1 if lit > 0 else -1
+        if value[lit]:
+            return value[lit] == 1
+        value[lit], value[-lit] = 1, -1
         trail.append(lit)
         return True
 
@@ -479,44 +480,42 @@ def internal_sat_solve(
     def propagate() -> bool:
         nonlocal qhead
         while qhead < len(trail):
-            lit = trail[qhead]
+            falsified = -trail[qhead]
             qhead += 1
-            falsified = -lit
             pending = watches.get(falsified, [])
             keep: list[int] = []
             k = 0
             while k < len(pending):
                 ci = pending[k]
                 k += 1
-                w = watched[ci]
-                other = w[1] if w[0] == falsified else w[0]
-                if value(other) == 1:
+                c = clauses[ci]
+                if c[0] == falsified:
+                    c[0], c[1] = c[1], falsified
+                if value[c[0]] == 1:
                     keep.append(ci)
                     continue
-                moved = False
-                for cand in clauses[ci]:
-                    if cand != other and cand != falsified and value(cand) != -1:
-                        w[0], w[1] = other, cand
-                        watches.setdefault(cand, []).append(ci)
-                        moved = True
+                for j in range(2, len(c)):
+                    if value[c[j]] != -1:
+                        c[1], c[j] = c[j], falsified
+                        watches.setdefault(c[1], []).append(ci)
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if not enqueue(other):
-                    keep.extend(pending[k:])
-                    watches[falsified] = keep
-                    return False
+                else:
+                    keep.append(ci)
+                    if not enqueue(c[0]):
+                        keep.extend(pending[k:])
+                        watches[falsified] = keep
+                        return False
             watches[falsified] = keep
         return True
 
     pos = 0
     while True:
         if propagate():
-            while pos < nbranch and assign[branch_order[pos]] != 0:
+            while pos < nbranch and value[branch_order[pos]]:
                 pos += 1
             if pos == nbranch:
-                model = [False, *(a != -1 for a in assign[1:])]
+                model = [False, *(v != -1 for v in value[1 : top + 1])]
+                model += [True] * (nvars - top)
                 if not check_model(cnf.clauses, model):
                     raise AssertionError("internal solver produced a bad model")
                 return SatResult(
@@ -534,7 +533,7 @@ def internal_sat_solve(
             while decisions:
                 mark, lit, flipped = decisions.pop()
                 for done in trail[mark:]:
-                    assign[abs(done)] = 0
+                    value[done] = value[-done] = 0
                 del trail[mark:]
                 qhead = mark
                 if not flipped:

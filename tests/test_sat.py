@@ -27,6 +27,7 @@ from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
 from posetdim.sat import (
     CnfInstance,
     VarMap,
+    _literal_table,
     _solver_clauses,
     check_model,
     internal_sat_solve,
@@ -220,6 +221,11 @@ class TestInternalSolver:
         result = internal_sat_solve(CnfInstance(12, clauses, VarMap()), conflict_limit=2)
         assert result.status == "unknown"
 
+    @pytest.mark.parametrize("clauses", [[[3]], [[1, -3]], [[3, -3]]])
+    def test_variable_above_num_vars_rejected(self, clauses):
+        with pytest.raises(BadParameter):
+            internal_sat_solve(CnfInstance(2, clauses, VarMap()))
+
     def test_b3_and_roundtrip(self):
         p = pd.boolean_lattice(3)
         cnf = pd.encode_bdim_sat(p, 3, fixed_phi=pd.and_function(3))
@@ -351,6 +357,11 @@ class TestDimacsFormats:
         text = to_dimacs(cnf)
         assert text == "p cnf 3000000 2\n2999999 -1 0\n7 0\n"
         assert parse_dimacs(text).clauses == cnf.clauses
+
+    def test_lone_large_id_gets_a_sparse_table(self):
+        assert len(_literal_table(np.array([65536], dtype=np.int32))[0]) == 2
+        cnf = CnfInstance(65536, [[65536]], VarMap())
+        assert to_dimacs(cnf) == "p cnf 65536 1\n65536 0\n"
 
     @pytest.mark.parametrize("body", ["1 5 0\n", "5 1 0\n", "-1 -3 0\n"])
     def test_parse_rejects_out_of_range_literal(self, body):

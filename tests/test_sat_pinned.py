@@ -119,6 +119,17 @@ def test_solver_agrees_with_brute_force_on_messy_clauses():
     assert seen_marked > 100 and seen_units > 100
 
 
+def _wide_cnf(rng):
+    """A small CNF with clause widths 1-8, so many clauses hold literals
+    beyond their two watches."""
+    nv = rng.randint(3, 10)
+    widths = (1, 2, 3, 3, 3, 4, 5, 6, 7, 8)
+    return nv, [
+        [rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(rng.choice(widths))]
+        for _ in range(rng.randint(2, 6 * nv))
+    ]
+
+
 def _doubled(rng, clauses):
     """Every clause twice: the copy with its literals shuffled, and the
     copies interleaved at random with the originals."""
@@ -129,20 +140,33 @@ def _doubled(rng, clauses):
     return [next(sources[k]) for k in picks]
 
 
-def test_repeated_clauses_leave_the_search_unchanged():
+def _shuffled(rng, clauses):
+    """The clauses in random order, each with its literals shuffled."""
+    return rng.sample([rng.sample(c, len(c)) for c in clauses], len(clauses))
+
+
+def _assert_same_search(rng, make_cnf, transform):
     # A chronological DPLL with fixed branching visits the same tree whatever
-    # the clause multiset, because unit propagation has a unique fixpoint.
-    rng = random.Random(20261019)
-    cases = [(*_random_cnf(rng), VarMap()) for _ in range(300)]
+    # the clause multiset and order, because unit propagation reaches one
+    # fixpoint, or a conflict, in any order.
+    cases = [(*make_cnf(rng), VarMap()) for _ in range(300)]
     b3 = pd.encode_bdim_sat(pd.boolean_lattice(3), 2)  # pinned above: 56 conflicts
     b3_clauses = np.split(b3.clauses.lits, b3.clauses.offsets[1:-1])
     cases.append((b3.num_vars, [c.tolist() for c in b3_clauses], b3.varmap))
     seen_conflicts = 0
     for trial, (nv, clauses, varmap) in enumerate(cases):
         once = internal_sat_solve(CnfInstance(nv, clauses, varmap))
-        twice = internal_sat_solve(CnfInstance(nv, _doubled(rng, clauses), varmap))
-        assert (twice.status, twice.conflicts, twice.assignment) == (
+        again = internal_sat_solve(CnfInstance(nv, transform(rng, clauses), varmap))
+        assert (again.status, again.conflicts, again.assignment) == (
             once.status, once.conflicts, once.assignment
         ), (trial, clauses)
         seen_conflicts += once.conflicts > 0
     assert seen_conflicts > 25 and once.conflicts == 56
+
+
+def test_repeated_clauses_leave_the_search_unchanged():
+    _assert_same_search(random.Random(20261019), _random_cnf, _doubled)
+
+
+def test_literal_and_clause_order_leave_the_search_unchanged():
+    _assert_same_search(random.Random(20261020), _wide_cnf, _shuffled)
