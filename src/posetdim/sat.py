@@ -310,42 +310,93 @@ def _width_runs(clauses: ClauseArray) -> Iterator[tuple[int, np.ndarray]]:
             yield a, block.reshape(b - a, -1)
 
 
-def _first_copies(clauses: ClauseArray) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, marked): masks over the clauses.
+_NETWORK_WIDTH = 8  # widest rows sorted by compare-exchanges, not np.sort
+
+
+def _sorted_codes(block: np.ndarray) -> np.ndarray:
+    """Literal codes 2*var + (lit < 0) of block, transposed so that column k
+    holds row k, with each column sorted ascending.
+
+    Codes fit uint32, since no id exceeds 2**31 - 1.  Up to _NETWORK_WIDTH
+    rows are sorted by an odd-even transposition network of whole-row
+    compare-exchanges, which streams over contiguous memory instead of
+    sorting each short column on its own.
+    """
+    code = np.empty(block.shape[::-1], dtype=np.int32)
+    np.abs(block.T, out=code)
+    code = code.view(np.uint32)
+    code <<= 1
+    code |= block.T < 0
+    width = len(code)
+    if width > _NETWORK_WIDTH:
+        code.sort(axis=0)
+        return code
+    low = np.empty_like(code[0])
+    for r in range(width):
+        for j in range(r % 2, width - 1, 2):
+            np.minimum(code[j], code[j + 1], out=low)
+            np.maximum(code[j], code[j + 1], out=code[j + 1])
+            code[j] = low
+    return code
+
+
+def _packed_keys(code: np.ndarray, bits: int) -> np.ndarray:
+    """The columns of code, codes below 2**bits, packed into int64 keys: one
+    row of keys per 63 // bits rows of code."""
+    per = 63 // bits
+    keys = np.zeros((-(-len(code) // per), code.shape[1]), dtype=np.int64)
+    for j, row in enumerate(code):
+        keys[j // per] <<= bits
+        keys[j // per] |= row
+    return keys
+
+
+def _first_copies(
+    runs: list[tuple[int, np.ndarray]], count: int, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, marked): masks over the count clauses of runs (see _width_runs),
+    whose ids are at most top.
 
     A row is marked when a variable repeats in it.  keep is False for a
     tautology and for every clause whose literal set, repeats dropped,
     already appeared earlier, since a duplicate is subsumed by its first
-    copy.  Each row is sorted once, on literal codes 2*var + (lit < 0): the
-    sorted row is the canonical form of a clause without repeats, and a
-    repeated variable lands in adjacent columns.  Canonical rows of one width
-    are packed into int64 keys and grouped by a stable sort, so each group
-    starts with its earliest copy.
+    copy.  Each row's literal codes are sorted once (_sorted_codes): sorted,
+    they are the canonical form of a clause without repeats, and a repeated
+    variable lands in adjacent places, so width - 1 compares find it.  The
+    canonical rows of each run are packed into int64 keys at once, so only
+    one run's codes are ever held, and the keys of one width are grouped by
+    a stable sort, so each group starts with its earliest copy.
     """
-    marked = np.zeros(len(clauses), dtype=bool)
+    bits = (2 * top + 1).bit_length()
+    marked = np.zeros(count, dtype=bool)
     groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for a, block in _width_runs(clauses):
-        code = np.abs(block).astype(np.int64) << 1 | (block < 0)
-        code.sort(axis=1)
-        var = code >> 1
-        mark = (var[:, 1:] == var[:, :-1]).any(axis=1)
-        marked[a : a + len(block)] = mark
-        plain = np.flatnonzero(~mark)
-        groups.setdefault(block.shape[1], []).append((code[plain], a + plain))
-        for k in np.flatnonzero(mark).tolist():
-            row = sorted(set(code[k].tolist()))
+    for a, block in runs:
+        code = _sorted_codes(block)
+        mark = marked[a : a + len(block)]  # a view: marks land in marked
+        for lo, hi in zip(code[:-1], code[1:]):
+            mark |= hi <= (lo | 1)  # codes 2v and 2v + 1 share variable v
+        keys, ids = _packed_keys(code, bits), np.arange(a, a + len(block))
+        repeats = np.flatnonzero(mark)
+        for k in repeats.tolist():
+            row = sorted(set(code[:, k].tolist()))
             if len({c >> 1 for c in row}) == len(row):  # else a tautology
-                groups.setdefault(len(row), []).append((np.array([row]), [a + k]))
-    keep = np.zeros(len(clauses), dtype=bool)
-    for parts in groups.values():
-        rows, ids = map(np.concatenate, zip(*parts))
-        bits = int(rows.max(initial=1)).bit_length()
-        per = 63 // bits  # codes packed into one int64 key
-        keys = np.zeros((-(-rows.shape[1] // per), len(rows)), dtype=np.int64)
-        for j, col in enumerate(rows.T):
-            keys[j // per] = keys[j // per] << bits | col
+                reduced = _packed_keys(np.array(row)[:, None], bits)
+                groups.setdefault(len(row), []).append((reduced, ids[k : k + 1]))
+        if len(repeats):
+            plain = np.flatnonzero(~mark)
+            keys, ids = keys[:, plain], ids[plain]
+        groups.setdefault(len(code), []).append((keys, ids))
+    keep = np.zeros(count, dtype=bool)
+    while groups:  # popped, so that each group's keys go once sorted
+        parts = groups.popitem()[1]
+        keys, ids = (
+            parts[0]
+            if len(parts) == 1
+            else [np.concatenate(x, axis=-1) for x in zip(*parts)]
+        )
+        del parts
         order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
+        keys = keys.take(order, axis=1)
         first = np.ones(len(order), dtype=bool)
         first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
         keep[ids[order[first]]] = True
@@ -354,9 +405,11 @@ def _first_copies(clauses: ClauseArray) -> tuple[np.ndarray, np.ndarray]:
 
 def _solver_clauses(
     clauses: ClauseArray,
-) -> tuple[list[list[int]], list[int], np.ndarray, np.ndarray]:
-    """(clauses with two or more literals, unit literals, first two literals
-    of each kept clause, ascending ids of the variables in them).
+) -> tuple[list[list[int]], list[int], np.ndarray]:
+    """(clauses with two or more literals, unit literals, ascending ids of the
+    variables in them), with the literals renumbered: variable used[k - 1]
+    becomes k, so that the search's lists span the variables it uses, not
+    the largest id.
 
     Repeated literals are dropped (first occurrence kept), tautologies
     removed, and so is every clause whose literal set already appeared
@@ -365,50 +418,47 @@ def _solver_clauses(
     block, then its rare rows with one, reduced on a Python path.  Neither
     duplicates nor order change the search: unit propagation reaches one
     fixpoint, or a conflict, in any order.  The lists share one int object
-    per literal value instead of one per occurrence.
+    per literal value instead of one per occurrence, and the first two
+    literals of each list are its watches (see internal_sat_solve).
     """
-    keep, marked = _first_copies(clauses)
+    top = _largest_id(clauses.lits)
+    runs = list(_width_runs(clauses))
+    keep, marked = _first_copies(runs, len(clauses), top)
+    used = np.zeros(top + 1, dtype=bool)
+    used[np.abs(clauses.lits[np.repeat(keep, clauses.widths)])] = True
+    used = np.flatnonzero(used)
     values, position = _literal_table(clauses.lits)
-    shared = values.astype(object)
+    renumbered = np.searchsorted(used, np.abs(values)) + 1
+    shared = np.where(values < 0, -renumbered, renumbered).astype(object)
     kept: list[list[int]] = []
     units: list[int] = []
-    heads: list[np.ndarray] = [np.empty((0, 2), dtype=np.int32)]
-    for a, block in _width_runs(clauses):
+    for a, block in runs:
         sel = keep[a : a + len(block)]
         mark = marked[a : a + len(block)]
-        plain = block[sel & ~mark]
+        plain, repeats = block[sel & ~mark], block[sel & mark]
         rows = shared[position(plain)].tolist()
         if block.shape[1] == 1:  # no repeats in a single literal
             units.extend(lit for (lit,) in rows)
             continue
         kept.extend(rows)
-        heads.append(plain[:, :2])
-        for row in shared[position(block[sel & mark])].tolist():
+        for row in shared[position(repeats)].tolist():
             lits = list(dict.fromkeys(row))
             if len(lits) == 1:
                 units.append(lits[0])
             else:
                 kept.append(lits)
-                heads.append(np.array([lits[:2]], dtype=np.int32))
-    used = np.zeros(_largest_id(clauses.lits) + 1, dtype=bool)
-    used[np.abs(clauses.lits[np.repeat(keep, clauses.widths)])] = True
-    return kept, units, np.concatenate(heads), np.flatnonzero(used)
+    return kept, units, used
 
 
-def _watch_lists(heads: np.ndarray) -> dict[int, list[int]]:
-    """Literal -> indices of the clauses watching it, ascending."""
-    keys = heads.ravel()
-    if not len(keys):
-        return {}
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    clause_ids = np.arange(len(heads)).astype(object)  # shared by both watches
-    owners = clause_ids[order // 2].tolist()
-    cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
-    starts, ends = [0, *cuts], [*cuts, len(owners)]
-    return {
-        lit: owners[s:e] for lit, s, e in zip(keys[starts].tolist(), starts, ends)
-    }
+def _watch_lists(clauses: list[list[int]], top: int) -> list[list[list[int]]]:
+    """Watch lists indexed like the solver's value list: entry lit, for
+    -top <= lit <= top (negative indices wrap), holds the clauses whose
+    first two literals include lit, in clause order."""
+    watches: list[list[list[int]]] = [[] for _ in range(2 * top + 1)]
+    for c in clauses:
+        watches[c[0]].append(c)
+        watches[c[1]].append(c)
+    return watches
 
 
 def _gc_paused(fn):
@@ -439,31 +489,40 @@ def internal_sat_solve(
     """Complete DPLL with two watched literals and chronological backtracking.
 
     The search runs on the clauses of _solver_clauses, so duplicate clauses
-    are loaded once.  Clause c watches c[0] and c[1]: a falsified watch is
-    swapped into c[1] and, unless c[0] is true, replaced from c[2:] by a
-    literal that is not false; failing that, c[0] is unit or in conflict.
-    value[lit] is the value of literal lit, so value[-v] is its complement.
+    are loaded once, and in its numbering, so its lists span the variables
+    in those clauses, not the largest id.  Clause c watches c[0] and c[1]: a
+    falsified watch is swapped into c[1] and, unless c[0] is true, replaced
+    from c[2:] by a literal that is not false; failing that, c[0] is unit or
+    in conflict.  value[lit] is the value of literal lit, so value[-v] is its
+    complement, and watches[lit] (see _watch_lists) holds the clause lists
+    themselves.
     Branching is deterministic: the variables that occur in those clauses,
-    in the _branch_order sequence, True first.  A variable that occurs in
-    none is set True in the model, the value that decision would give it.
-    Sat assignments are post-checked against every clause of cnf, duplicates
-    included, before being returned; exceeding conflict_limit yields status
-    "unknown".  A variable above cnf.num_vars raises BadParameter.
+    in the _branch_order sequence, True first.  The scan for the next branch
+    variable never restarts: after a conflict it resumes at the position of
+    the decision it flips, since every variable before that position was
+    assigned before the decision and survives the backtrack.  A variable
+    that occurs in no clause is set True in the model, the value that
+    decision would give it.  Sat assignments are post-checked against every
+    clause of cnf, duplicates included, before being returned; exceeding
+    conflict_limit yields status "unknown".  A variable above cnf.num_vars
+    raises BadParameter.
     """
     nvars = cnf.num_vars
     if _largest_id(cnf.clauses.lits) > nvars:
         raise BadParameter(f"a clause names a variable above num_vars = {nvars}")
-    clauses, units, heads, used = _solver_clauses(cnf.clauses)
-    top = int(used[-1]) if len(used) else 0
+    clauses, units, used = _solver_clauses(cnf.clauses)
+    top = len(used)
 
     value = [0] * (2 * top + 1)  # value[lit]: 0 unassigned, +1 true, -1 false
-    watches = _watch_lists(heads)
+    watches = _watch_lists(clauses, top)
 
     trail: list[int] = []
     qhead = 0
-    decisions: list[tuple[int, int, bool]] = []  # (trail mark, literal, flipped)
+    # (trail mark, position in branch_order, flipped) of each open decision
+    decisions: list[tuple[int, int, bool]] = []
     conflicts = 0
-    branch_order = _branch_order(cnf.varmap, used)
+    branch_order = np.searchsorted(used, _branch_order(cnf.varmap, used)) + 1
+    branch_order = branch_order.tolist()
     nbranch = len(branch_order)
 
     def enqueue(lit: int) -> bool:
@@ -482,30 +541,24 @@ def internal_sat_solve(
         while qhead < len(trail):
             falsified = -trail[qhead]
             qhead += 1
-            pending = watches.get(falsified, [])
-            keep: list[int] = []
-            k = 0
-            while k < len(pending):
-                ci = pending[k]
-                k += 1
-                c = clauses[ci]
+            pending = iter(watches[falsified])
+            keep = watches[falsified] = []
+            for c in pending:
                 if c[0] == falsified:
                     c[0], c[1] = c[1], falsified
                 if value[c[0]] == 1:
-                    keep.append(ci)
+                    keep.append(c)
                     continue
                 for j in range(2, len(c)):
                     if value[c[j]] != -1:
                         c[1], c[j] = c[j], falsified
-                        watches.setdefault(c[1], []).append(ci)
+                        watches[c[1]].append(c)
                         break
                 else:
-                    keep.append(ci)
+                    keep.append(c)
                     if not enqueue(c[0]):
-                        keep.extend(pending[k:])
-                        watches[falsified] = keep
+                        keep.extend(pending)
                         return False
-            watches[falsified] = keep
         return True
 
     pos = 0
@@ -514,32 +567,32 @@ def internal_sat_solve(
             while pos < nbranch and value[branch_order[pos]]:
                 pos += 1
             if pos == nbranch:
-                model = [False, *(v != -1 for v in value[1 : top + 1])]
-                model += [True] * (nvars - top)
+                model = np.ones(nvars + 1, dtype=bool)
+                model[0] = False
+                model[used] = np.array(value[1 : top + 1]) != -1
                 if not check_model(cnf.clauses, model):
                     raise AssertionError("internal solver produced a bad model")
                 return SatResult(
                     status="sat",
-                    assignment=model,
+                    assignment=model.tolist(),
                     model_verified=True,
                     conflicts=conflicts,
                 )
-            decisions.append((len(trail), branch_order[pos], False))
+            decisions.append((len(trail), pos, False))
             enqueue(branch_order[pos])
         else:
             conflicts += 1
             if conflict_limit is not None and conflicts > conflict_limit:
                 return SatResult(status="unknown", conflicts=conflicts)
             while decisions:
-                mark, lit, flipped = decisions.pop()
+                mark, pos, flipped = decisions.pop()
                 for done in trail[mark:]:
                     value[done] = value[-done] = 0
                 del trail[mark:]
                 qhead = mark
                 if not flipped:
-                    decisions.append((mark, -lit, True))
-                    enqueue(-lit)
-                    pos = 0
+                    decisions.append((mark, pos, True))
+                    enqueue(-branch_order[pos])
                     break
             else:
                 return SatResult(status="unsat", conflicts=conflicts)

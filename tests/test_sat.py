@@ -1,6 +1,7 @@
 """CNF encoding, the internal DPLL solver, external solver handling, and
 model decoding."""
 
+import random
 import stat
 import sys
 import textwrap
@@ -261,6 +262,14 @@ class TestInternalSolver:
                 assert check_model(clauses, res.assignment)
 
 
+def _load(clauses):
+    """_solver_clauses of clauses, with its renumbered literals mapped back to
+    variable ids."""
+    kept, units, used = _solver_clauses(clauses)
+    back = lambda lit: int(used[abs(lit) - 1]) * (1 if lit > 0 else -1)
+    return [[back(lit) for lit in c] for c in kept], [back(u) for u in units], used
+
+
 class TestSolverLoad:
     @pytest.mark.parametrize(
         "spec, d, phi, distinct",
@@ -269,19 +278,27 @@ class TestSolverLoad:
     def test_distinct_clause_counts(self, spec, d, phi, distinct):
         fixed = pd.threshold_at_most_one_zero(d) if phi else None
         cnf = pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
-        kept, units, heads, used = _solver_clauses(cnf.clauses)
+        kept, units, used = _load(cnf.clauses)
         assert len(kept) + len(units) == distinct
-        assert len(heads) == len(kept)
+        assert min(map(len, kept)) >= 2
         assert used.tolist() == list(range(1, cnf.num_vars + 1))
 
     def test_permuted_copies_keep_the_first(self):
         clauses = [[3, 1, 2], [4, -5], [1, 2, 3], [-5, 4], [2, 3, 1], [6, 7], [2]]
         cnf = CnfInstance(7, clauses, VarMap())
-        kept, units, heads, used = _solver_clauses(cnf.clauses)
+        kept, units, used = _load(cnf.clauses)
         assert kept == [[3, 1, 2], [4, -5], [6, 7]]
         assert units == [2]
-        assert heads.tolist() == [[3, 1], [4, -5], [6, 7]]
+        assert [c[:2] for c in kept] == [[3, 1], [4, -5], [6, 7]]
         assert used.tolist() == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_wide_permuted_copies_keep_the_first(self):
+        # Rows wider than 8 literals are put in canonical order by np.sort.
+        wide = list(range(1, 11))
+        clauses = [wide, wide[::-1], [1, -3, 2], [-3, 2, 1], [-11, *wide], [*wide, -11]]
+        cnf = CnfInstance(11, clauses, VarMap())
+        kept, units, used = _load(cnf.clauses)
+        assert kept == [wide, [1, -3, 2], [-11, *wide]]
 
     def test_copies_with_repeated_literals(self):
         clauses = [
@@ -292,11 +309,56 @@ class TestSolverLoad:
             [4, -4, 8], [8, 4, -4],  # tautologies
         ]
         cnf = CnfInstance(8, clauses, VarMap())
-        kept, units, heads, used = _solver_clauses(cnf.clauses)
+        kept, units, used = _load(cnf.clauses)
         assert kept == [[1, 2], [6, 7], [1, 2, -3]]
         assert units == [5]
-        assert heads.tolist() == [[1, 2], [6, 7], [1, 2]]
+        assert [c[:2] for c in kept] == [[1, 2], [6, 7], [1, 2]]
         assert used.tolist() == [1, 2, 3, 5, 6, 7]
+        # 4 and 8 occur only in tautologies, so 5, 6 and 7 become 4, 5 and 6
+        assert _solver_clauses(cnf.clauses)[:2] == ([[1, 2], [5, 6], [1, 2, -3]], [4])
+
+    def test_matches_a_set_based_reference(self):
+        # Widths up to 14 take both sort paths of the canonical rows: the
+        # compare-exchange network up to 8 literals, np.sort beyond.
+        rng = random.Random(20261019)
+        widths = set()
+        for trial in range(200):
+            nv = rng.randint(1, 20)
+            lit = lambda: rng.choice((1, -1)) * rng.randint(1, nv)
+            base = [
+                [lit() for _ in range(rng.randint(1, 14))]
+                for _ in range(rng.randint(1, 30))
+            ]
+            copies = [rng.sample(c, len(c)) for c in rng.sample(base, len(base) // 2)]
+            clauses = rng.sample(base + copies, len(base) + len(copies))
+            seen, want_kept, want_units = set(), [], []
+            for c in clauses:
+                lits = list(dict.fromkeys(c))
+                if frozenset(lits) in seen or any(-lit in lits for lit in lits):
+                    continue
+                seen.add(frozenset(lits))
+                (want_units if len(lits) == 1 else want_kept).append(lits)
+            kept, units, used = _load(CnfInstance(nv, clauses, VarMap()).clauses)
+            assert sorted(kept) == sorted(want_kept), (trial, clauses)
+            assert sorted(units) == sorted(u for (u,) in want_units), (trial, clauses)
+            want_used = {abs(lit) for c in want_kept + want_units for lit in c}
+            assert used.tolist() == sorted(want_used)
+            widths.update(map(len, kept))
+        assert max(widths) > 8
+
+    def test_search_lists_span_the_used_variables(self):
+        # Two variables occur; the model's 2,000,001 slots are the only cost
+        # that grows with the largest id (a traced peak of about 18 MB).
+        cnf = parse_dimacs("p cnf 2000000 2\n1 2000000 0\n-1 0\n")
+        tracemalloc.start()
+        try:
+            result = internal_sat_solve(cnf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == "sat" and result.conflicts == 0
+        assert not result.assignment[1] and all(result.assignment[2:])
+        assert peak < 32 << 20
 
     def test_unconstrained_variables_are_true_in_bounded_memory(self):
         import tracemalloc

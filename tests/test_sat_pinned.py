@@ -18,7 +18,13 @@ import pytest
 import posetdim as pd
 from posetdim import cli
 from posetdim.formats import parse_poset_spec
-from posetdim.sat import CnfInstance, VarMap, check_model, internal_sat_solve
+from posetdim.sat import (
+    CnfInstance,
+    VarMap,
+    _branch_order,
+    check_model,
+    internal_sat_solve,
+)
 
 EMIT_GOLDEN = [
     (
@@ -170,3 +176,72 @@ def test_repeated_clauses_leave_the_search_unchanged():
 
 def test_literal_and_clause_order_leave_the_search_unchanged():
     _assert_same_search(random.Random(20261020), _wide_cnf, _shuffled)
+
+
+def test_benchmark_question_pinned():
+    # The paper's search: a 5-order realizer of B6 with the threshold phi, at
+    # the 2,000-conflict budget the benchmark gives it.
+    phi = pd.threshold_at_most_one_zero(5)
+    cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5, fixed_phi=phi)
+    result = internal_sat_solve(cnf, conflict_limit=2000)
+    got = (result.status, result.conflicts, result.assignment)
+    assert got == ("unknown", 2001, None)
+
+
+def _reference_dpll(nv, clauses, varmap):
+    """(status, conflicts, assignment) of a naive recursive DPLL with the
+    internal solver's rules: each clause taken as its literal set,
+    tautologies dropped; complementary unit clauses give unsat with no
+    conflict; unit propagation rescans every clause to a fixpoint; branching
+    follows _branch_order over the variables left, True first; a variable
+    that is never assigned is True in the model."""
+    sets = [s for s in map(set, clauses) if not any(-lit in s for lit in s)]
+    units = {lit for s in sets if len(s) == 1 for lit in s}
+    if any(-lit in units for lit in units):
+        return "unsat", 0, None
+    used = np.array(sorted({abs(lit) for s in sets for lit in s}), dtype=np.int64)
+    order = _branch_order(varmap, used)
+    conflicts = 0
+
+    def search(true):  # true: the set of literals assigned True
+        nonlocal conflicts
+        while True:  # unit propagation by full clause scans
+            new = set()
+            for s in sets:
+                if not s & true:
+                    free = {lit for lit in s if -lit not in true}
+                    if not free:
+                        conflicts += 1
+                        return None
+                    if len(free) == 1:
+                        new |= free
+            if not new:
+                break
+            if any(-lit in new for lit in new):
+                conflicts += 1
+                return None
+            true = true | new
+        var = next((v for v in order if v not in true and -v not in true), None)
+        if var is None:
+            return true
+        return search(true | {var}) or search(true | {-var})
+
+    true = search(units)
+    if true is None:
+        return "unsat", conflicts, None
+    return "sat", conflicts, [False, *(-v not in true for v in range(1, nv + 1))]
+
+
+def test_solver_matches_reference_dpll():
+    rng = random.Random(20261018)  # the brute-force test's instances
+    cases = [(*_random_cnf(rng), VarMap()) for _ in range(400)]
+    b3 = pd.encode_bdim_sat(pd.boolean_lattice(3), 2)  # pinned above: 56 conflicts
+    b3_clauses = np.split(b3.clauses.lits, b3.clauses.offsets[1:-1])
+    cases.append((b3.num_vars, [c.tolist() for c in b3_clauses], b3.varmap))
+    seen_conflicts = 0
+    for trial, (nv, clauses, varmap) in enumerate(cases):
+        result = internal_sat_solve(CnfInstance(nv, clauses, varmap))
+        got = (result.status, result.conflicts, result.assignment)
+        assert got == _reference_dpll(nv, clauses, varmap), (trial, clauses)
+        seen_conflicts += result.conflicts > 0
+    assert seen_conflicts > 25 and result.conflicts == 56
