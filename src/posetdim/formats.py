@@ -36,7 +36,7 @@ from .poset import (
     from_relation_pairs,
     multiset_grid,
     standard_example,
-    strict_cover_pairs,
+    upper_covers,
 )
 from .realizer import BooleanRealizer, TruthTable, b6_realizer
 
@@ -44,9 +44,15 @@ from .realizer import BooleanRealizer, TruthTable, b6_realizer
 def serialize_poset(p: Poset) -> str:
     lines = ["poset v1", f"n {p.n}"]
     lines += [f"label {i} {p.labels[i]}" for i in range(p.n)]
-    lines.append("mode covers")
-    lines += [f"rel {x} {y}" for x, y in strict_cover_pairs(p)]
-    return "\n".join(lines) + "\n"
+    lines.append("mode covers\n")
+    # One block of rel lines per element, so memory follows the text, not a
+    # list of every cover pair.
+    blocks = (
+        f"rel {x} " + f"\nrel {x} ".join(map(str, ys)) + "\n"
+        for x, ys in enumerate(upper_covers(p))
+        if ys
+    )
+    return "\n".join(lines) + "".join(blocks)
 
 
 def _check_size(n: int) -> None:
@@ -104,9 +110,8 @@ def parse_poset(text: str) -> Poset:
 def serialize_realizer(r: BooleanRealizer) -> str:
     lines = ["realizer v1", f"n {r.n}", f"d {r.d}"]
     for i, order in enumerate(r.orders, start=1):
-        seq = " ".join(str(int(e)) for e in order.sequence())
-        lines.append(f"order {i}: {seq}")
-    lines.append("phi " + "".join(str(int(b)) for b in r.phi.bits))
+        lines.append(f"order {i}: " + " ".join(map(str, order.sequence().tolist())))
+    lines.append("phi " + "".join(map(str, r.phi.bits.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -128,8 +133,8 @@ def parse_realizer(text: str) -> BooleanRealizer:
             m = re.fullmatch(rf"order {i + 1}: (.*)", ln)
             if not m:
                 raise ParseError(f"expected 'order {i + 1}: ...', got {ln!r}")
-            seq = [int(tok) for tok in m.group(1).split()]
-            if sorted(seq) != list(range(n)):
+            seq = list(map(int, m.group(1).split()))
+            if len(seq) != n or not np.array_equal(np.sort(seq), np.arange(n)):
                 raise ParseError(f"order {i + 1} is not a permutation of 0..{n - 1}")
             orders.append(LinearOrder.from_sequence(seq))
         phi_line = lines[3 + d]
@@ -138,7 +143,7 @@ def parse_realizer(text: str) -> BooleanRealizer:
         phi_text = phi_line[4:].strip()
         if len(phi_text) != (1 << d) or set(phi_text) - {"0", "1"}:
             raise ParseError(f"phi must be a binary string of length {1 << d}")
-        bits = np.array([int(c) for c in phi_text], dtype=np.uint8)
+        bits = np.frombuffer(phi_text.encode("ascii"), dtype=np.uint8) - ord("0")
         return BooleanRealizer(n=n, orders=tuple(orders), phi=TruthTable(d, bits))
     except ParseError:
         raise

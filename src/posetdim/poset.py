@@ -19,6 +19,7 @@ implies ``x <= y`` as integers.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,10 +192,10 @@ def boolean_lattice(n: int) -> Poset:
     for start in range(0, size, rows_per_block):
         x = idx[start : start + rows_per_block, None]
         np.equal(x & idx, x, out=leq[start : start + len(x)])
-    labels = [
-        "{" + ",".join(str(i + 1) for i in range(n) if x >> i & 1) + "}"
-        for x in range(size)
-    ]
+    # Doubling: subset x + 2**(k-1) is subset x with k appended.
+    labels = ["{}"]
+    for k in range(1, n + 1):
+        labels += [f"{{{k}}}"] + [s[:-1] + f",{k}}}" for s in labels[1:]]
     return _make(leq, labels)
 
 
@@ -404,25 +405,31 @@ def block_decomposition_iso(n: int, block_sizes: list[int]) -> np.ndarray:
     return _freeze(forward)
 
 
-def strict_cover_pairs(p: Poset) -> list[tuple[int, int]]:
-    """Transitive-reduction edges (x, y) with x covered by y, ascending.
+def upper_covers(p: Poset) -> Iterator[list[int]]:
+    """The elements covering x, ascending, for each x in turn.
 
     Up-sets are packed into ints, columns ordered by down-set size (a linear
     extension), so the lowest bit left in x's strict up-set is a cover of x.
     Each step clears that cover's up-set and its bit, so it ends on any input.
     """
     order = np.argsort(p.leq.sum(axis=0), kind="stable")
-    pos = np.argsort(order)
+    pos = np.argsort(order).tolist()
     up = [
         int.from_bytes(np.packbits(row[order], bitorder="little").tobytes(), "little")
         for row in p.leq
     ]
-    pairs = []
+    element = order.tolist()
     for x in range(p.n):
-        rest = up[x] & ~(1 << int(pos[x]))
+        covers = []
+        rest = up[x] & ~(1 << pos[x])
         while rest:
             low = rest & -rest
-            y = int(order[low.bit_length() - 1])
-            pairs.append((x, y))
+            y = element[low.bit_length() - 1]
+            covers.append(y)
             rest &= ~(up[y] | low)
-    return sorted(pairs)
+        yield sorted(covers)
+
+
+def strict_cover_pairs(p: Poset) -> list[tuple[int, int]]:
+    """Transitive-reduction edges (x, y) with x covered by y, ascending."""
+    return [(x, y) for x, ys in enumerate(upper_covers(p)) for y in ys]

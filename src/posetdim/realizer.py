@@ -180,6 +180,14 @@ def verify(
     counterexample is the first in ascending (x, then y) order for every
     thread count.  Each thread fills one set of chunk-sized buffers in place
     and reuses it for every chunk it scans.
+
+    A chunk's tuple indices are built a byte at a time: orders 9-16 are
+    accumulated (``acc += acc; acc += bits``) in a uint8 buffer that reads
+    the bool comparisons through a uint8 view, shifted into the high byte of
+    the uint16 index; orders 1-8 are then accumulated in the same buffer and
+    OR-ed into the low byte.  So no per-order step casts between dtypes (an
+    OR of bool into uint16 per order cost more than the comparison itself):
+    only the shift and the OR widen uint8 to uint16, once per chunk.
     """
     _check_mode(mode)
     if r.n != p.n:
@@ -187,7 +195,7 @@ def verify(
     n = p.n
     rows_per_chunk = max(1, _CHUNK_CELLS // n)
     # uint16 holds every rank (n <= MAX_ELEMENTS = 8192) and every tuple
-    # index (d <= MAX_ARITY = 16).
+    # index (d <= MAX_ARITY = 16); uint8 holds eight orders' bits.
     ranks = np.array([o.rank for o in r.orders], dtype=np.uint16).reshape(r.d, n)
     phi = r.phi.bits.astype(bool)
     local = threading.local()
@@ -195,14 +203,25 @@ def verify(
     def scan(start: int) -> int | None:
         if not hasattr(local, "buffers"):
             shape = (min(rows_per_chunk, n), n)
-            local.buffers = np.empty(shape, bool), np.empty(shape, np.uint16)
+            local.buffers = (
+                np.empty(shape, bool),
+                np.empty(shape, np.uint8),
+                np.empty(shape, np.uint16),
+            )
         rows = slice(start, min(start + rows_per_chunk, n))
-        cells, t = (b[: rows.stop - start] for b in local.buffers)
-        t.fill(0)
-        for rank in ranks[::-1]:  # the last order is the most significant bit
-            np.less_equal(rank[rows, None], rank, out=cells)
-            np.add(t, t, out=t)
-            np.bitwise_or(t, cells, out=t)
+        cells, acc, t = (b[: rows.stop - start] for b in local.buffers)
+        bits = cells.view(np.uint8)
+
+        def accumulate(block: np.ndarray) -> np.ndarray:
+            acc.fill(0)
+            for rank in block[::-1]:  # the last order is the most significant bit
+                np.less_equal(rank[rows, None], rank, out=cells)
+                np.add(acc, acc, out=acc)
+                np.add(acc, bits, out=acc)
+            return acc
+
+        np.left_shift(accumulate(ranks[8:]), 8, out=t, dtype=np.uint16)
+        np.bitwise_or(t, accumulate(ranks[:8]), out=t)
         # Every index is below 2**d, so "clip" never fires and spares the
         # per-index bounds check of the default "raise".
         np.take(phi, t, out=cells, mode="clip")

@@ -1,5 +1,7 @@
 """Command-line surface: outputs, exit statuses, and determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,14 @@ class TestDumpCovers:
         assert code == 0
         rel = [ln for ln in out.splitlines() if ln.startswith("rel ")]
         assert rel == [f"rel {i} {i + 1}" for i in range(299)]
+
+    def test_standard_300_dump_pinned(self, capsys):
+        # 89,700 covers in per-element blocks of 299 rel lines.
+        code, out, _ = run(capsys, "dump", "standard:300")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "c680b71319c16f8fae30abf55946990d50b690a4c2e02bbd7abcc34c3e1e5651"
+        )
 
 
 class TestDeterminism:

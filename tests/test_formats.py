@@ -107,6 +107,13 @@ class TestPosetRoundTrip:
         with pytest.raises(ParseError):
             parse_poset(text)
 
+    def test_serialize_memory_follows_the_text(self):
+        # standard:150 has 22,350 covers; a list of cover tuples plus a list
+        # of rel lines costs about 12 bytes per byte of text.
+        p = pd.standard_example(150)
+        text = serialize_poset(p)
+        assert traced_peak(serialize_poset, p) < 3 * len(text)
+
     def test_huge_n_rejected_before_allocating(self):
         def parse():
             with pytest.raises(ParseError):
@@ -161,6 +168,28 @@ class TestRealizerRoundTrip:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_realizer(text)
+
+    @pytest.mark.parametrize(
+        "order, phi, message",
+        [
+            ("0 1 1", "01", "order 1 is not a permutation of 0..2"),  # duplicate
+            ("0 1", "01", "order 1 is not a permutation of 0..2"),  # short
+            ("0 1 2 3", "01", "order 1 is not a permutation of 0..2"),  # long
+            ("0 1 5", "01", "order 1 is not a permutation of 0..2"),  # out of range
+            ("0 -1 2", "01", "order 1 is not a permutation of 0..2"),
+            (f"0 1 {2**64}", "01", "order 1 is not a permutation of 0..2"),
+            (f"-1 {2**63} 2", "01", "order 1 is not a permutation of 0..2"),
+            ("0 1 x", "01", "malformed realizer document: invalid literal for int"),
+            ("0 1 2.0", "01", "malformed realizer document: invalid literal for int"),
+            ("0 1 2", "02", "phi must be a binary string of length 2"),
+            ("0 1 2", "2", "phi must be a binary string of length 2"),
+        ],
+    )
+    def test_order_and_phi_errors_pinned(self, order, phi, message):
+        text = f"realizer v1\nn 3\nd 1\norder 1: {order}\nphi {phi}\n"
+        with pytest.raises(ParseError) as info:
+            parse_realizer(text)
+        assert str(info.value).startswith(message)
 
     def test_huge_n_rejected_before_allocating(self):
         def parse():

@@ -212,6 +212,14 @@ class TestBooleanLattice:
         p = pd.boolean_lattice(2)
         assert p.labels == ("{}", "{1}", "{2}", "{1,2}")
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_labels_list_each_subset(self, n):
+        expected = tuple(
+            "{" + ",".join(str(i + 1) for i in range(n) if x >> i & 1) + "}"
+            for x in range(2**n)
+        )
+        assert pd.boolean_lattice(n).labels == expected
+
     def test_immutable(self):
         p = pd.boolean_lattice(2)
         with pytest.raises(ValueError):

@@ -230,6 +230,60 @@ class TestVerify:
                     assert outcome.counterexample == expected
                     assert outcome.pairs_checked == r.n * (r.n - 1)
 
+    @pytest.mark.parametrize("cells", (1, 7, None))
+    @pytest.mark.parametrize("d", (7, 8, 9, 15, 16))
+    def test_byte_split_agrees_with_oracle(self, monkeypatch, d, cells):
+        # Orders 9-16 fill the index's high byte and orders 1-8 its low byte.
+        # Mismatches are planted only where the tuple index has a bit at
+        # position 8 or higher, or only where it is below 256, so a dropped,
+        # swapped or misplaced byte changes the answer.
+        if cells is not None:
+            monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", cells)
+        rng = random.Random(d)
+        n = 24
+        base = list(range(n))
+        rng.shuffle(base)
+        orders = []
+        for i in range(d):
+            # Orders 9-16 are neighbour-swapped copies of one base order, so
+            # pairs below each other in it keep a zero high byte.
+            seq = base.copy()
+            if i < 8:
+                rng.shuffle(seq)
+            for j in rng.sample(range(n - 1), 6):
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+            orders.append(pd.LinearOrder.from_sequence(seq))
+        bits = np.array([rng.randint(0, 1) for _ in range(1 << d)], np.uint8)
+        r = pd.BooleanRealizer(
+            n=n, orders=tuple(orders), phi=pd.TruthTable(arity=d, bits=bits)
+        )
+        realized = realized_relation(r)
+        index = {
+            (x, y): pd.tuple_index(pd.query_tuple(r, x, y))
+            for x in range(n)
+            for y in range(n)
+        }
+        high = [cell for cell, i in index.items() if i >= 256]
+        low = [cell for cell, i in index.items() if i < 256]
+        assert len(low) > n and (len(high) > n) == (d > 8)
+        for kind in ([], high, low):
+            planted = rng.sample(kind, min(3, len(kind)))
+            leq = realized.copy()
+            for x, y in planted:
+                leq[x, y] = not leq[x, y]
+            p = as_poset(leq)
+            for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+                expected = verify_oracle(p, r, mode)
+                assert (expected is None) == all(
+                    mode == DISTINCT_ONLY and x == y for x, y in planted
+                )
+                for threads in (1, 2, 3):
+                    assert pd.verify(p, r, mode, threads=threads) == pd.VerifyOutcome(
+                        ok=expected is None,
+                        pairs_checked=n * (n - 1),
+                        counterexample=expected,
+                    )
+
     @pytest.mark.parametrize("bit", (0, 1))
     def test_zero_orders(self, bit):
         r = pd.BooleanRealizer(
