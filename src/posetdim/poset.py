@@ -175,7 +175,7 @@ def from_relation_pairs(
         b"".join(reach[v].to_bytes(nbytes, "little") for v in range(n)),
         dtype=np.uint8,
     ).reshape(n, nbytes)
-    leq = np.unpackbits(rows, axis=1, bitorder="little")[:, :n].astype(bool)
+    leq = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
     return _make(leq, labels)
 
 

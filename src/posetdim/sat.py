@@ -299,14 +299,26 @@ def _literal_table(
     return values, lambda a: np.searchsorted(values, a)
 
 
+_RUN_WINDOW = 1 << 16  # clauses whose widths are compared at once
+
+
 def _width_runs(clauses: ClauseArray) -> Iterator[tuple[int, np.ndarray]]:
     """(id of the first clause, one clause per row) for each maximal run of
-    clauses of equal width, in input order."""
-    widths = clauses.widths
-    bounds = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+    clauses of equal width, in input order.
+
+    Run ends are found a window of offsets at a time (the window from
+    clause lo - 1 on finds the ends at lo and after), so no per-clause array
+    of the whole instance is built.
+    """
+    offsets, count = clauses.offsets, len(clauses)
+    ends = []
+    for lo in range(1, count, _RUN_WINDOW):
+        widths = np.diff(offsets[lo - 1 : lo + _RUN_WINDOW + 1])
+        ends += (np.flatnonzero(widths[1:] != widths[:-1]) + lo).tolist()
+    bounds = [0, *ends, count]
     for a, b in zip(bounds[:-1], bounds[1:]):
         if a < b:
-            block = clauses.lits[clauses.offsets[a] : clauses.offsets[b]]
+            block = clauses.lits[offsets[a] : offsets[b]]
             yield a, block.reshape(b - a, -1)
 
 

@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import posetdim as pd
-from posetdim.errors import ParseError, UsageError
+from posetdim.errors import ParseError, ToolkitError, UsageError
 from posetdim.formats import (
     family_grid_params,
     parse_poset,
@@ -55,6 +55,32 @@ BUILTIN_REALIZERS = [
         n=1, orders=(), phi=pd.TruthTable(arity=0, bits=np.array([1], np.uint8))
     ),
 ]
+
+
+def _no_n_line(text):
+    return all(ln.strip().partition(" ")[0] != "n" for ln in text.splitlines())
+
+
+@st.composite
+def small_poset_texts(draw):
+    """A poset document on at most 64 elements, often well formed, with
+    lines shuffled, dropped or added at random.  Added free text never holds
+    an "n" line, so nothing large is sized."""
+    n = draw(st.integers(-1, 64))
+    idx = st.integers(-1, n)
+    mode = draw(st.sampled_from(["mode covers", "mode relation"]))
+    rel = st.builds("rel {} {}".format, idx, idx)
+    label = st.builds("label {} {}".format, idx, st.text(max_size=6))
+    lines = ["poset v1", f"n {n}", mode]
+    lines += draw(st.lists(rel, max_size=12)) + draw(st.lists(label, max_size=3))
+    if draw(st.booleans()):
+        lines = lines[:1] + draw(st.permutations(lines[1:]))
+    for _ in range(draw(st.integers(0, 2))):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.text(max_size=16).filter(_no_n_line))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
 
 
 class TestPosetRoundTrip:
@@ -120,6 +146,22 @@ class TestPosetRoundTrip:
                 parse_poset("poset v1\nn 3000000\nmode covers\n")
 
         assert traced_peak(parse) < 16 * 2**20
+
+    def test_parse_b12_peak_is_one_relation_matrix(self):
+        # The 4096-element relation is 16 MB as bool; it is unpacked straight
+        # into bool, with no uint8 matrix and no column-sliced copy beside it.
+        text = serialize_poset(pd.boolean_lattice(12))
+        assert traced_peak(parse_poset, text) < 36 * 2**20
+
+    @settings(max_examples=300)
+    @given(small_poset_texts())
+    def test_small_texts_parse_or_raise_toolkit_errors(self, text):
+        try:
+            p = parse_poset(text)
+        except ToolkitError:
+            return
+        assert 1 <= p.n <= 64
+        p.check_axioms()
 
 
 class TestRealizerRoundTrip:

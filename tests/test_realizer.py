@@ -383,6 +383,217 @@ class TestVerify:
             assert c.expected == bool(p.leq[x, y]) and c.got != c.expected
 
 
+def index_ordered_leq(rng, n):
+    """A random poset relation that index order extends, as a writable copy."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    return pd.from_relation_pairs(n, None, pairs).leq.copy()
+
+
+def pairwise_realizer(rng, leq, d=16):
+    """(r, index): a realizer of leq whose orders give each ordered pair of
+    distinct elements its own query tuple, never the all-ones one, with
+    index[x, y] that tuple's index.  phi is set pair by pair, so flipping
+    phi at index[x, y] breaks the pair (x, y) and no other."""
+    n = len(leq)
+    while True:
+        seqs = [rng.sample(range(n), n) for _ in range(d)]
+        orders = tuple(pd.LinearOrder.from_sequence(s) for s in seqs)
+        ranks = np.array([o.rank for o in orders])
+        weights = 1 << np.arange(d)[:, None, None]
+        table = ((ranks[:, :, None] <= ranks[:, None, :]) * weights).sum(axis=0)
+        index = {(x, y): int(table[x, y]) for x in range(n) for y in range(n) if x != y}
+        values = set(index.values())
+        if len(values) == len(index) and (1 << d) - 1 not in values:
+            break
+    bits = np.zeros(1 << d, np.uint8)
+    bits[-1] = 1
+    for (x, y), t in index.items():
+        bits[t] = leq[x, y]
+    r = pd.BooleanRealizer(n=n, orders=orders, phi=pd.TruthTable(arity=d, bits=bits))
+    return r, index
+
+
+def with_phi(r, bits):
+    return pd.BooleanRealizer(
+        n=r.n, orders=r.orders, phi=pd.TruthTable(arity=r.d, bits=bits)
+    )
+
+
+def assert_matches_oracle(p, r):
+    """verify agrees with the oracle in both modes at 1-3 threads; returns
+    the oracle's counterexamples by mode."""
+    found = {}
+    for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+        expected = verify_oracle(p, r, mode)
+        for threads in (1, 2, 3):
+            assert pd.verify(p, r, mode, threads=threads) == pd.VerifyOutcome(
+                ok=expected is None,
+                pairs_checked=p.n * (p.n - 1),
+                counterexample=expected,
+            ), (mode, threads)
+        found[mode] = expected
+    return found
+
+
+class TestHalfScan:
+    """When index order extends the poset, verify looks each unordered pair
+    {x, y}, x < y, up once, in a table that answers (x, y) and (y, x)
+    together, and rescans from the first failing chunk.  Mismatches are
+    planted where only one half of that lookup, or only the diagonal, sees
+    them."""
+
+    def test_index_order_check(self):
+        for p in (
+            pd.boolean_lattice(5),
+            pd.multiset_grid(3, 3),
+            pd.standard_example(6),
+            pd.chain(7),
+        ):
+            assert realizer_module._index_order_extends(p.leq)
+            assert not realizer_module._index_order_extends(p.leq[::-1, ::-1])
+        assert realizer_module._index_order_extends(pd.antichain(3).leq)
+        leq = pd.chain(3).leq.copy()
+        leq[2, 1] = True
+        assert not realizer_module._index_order_extends(leq)
+
+    @pytest.mark.parametrize("cells", (1, 7, None))
+    def test_agrees_with_oracle_on_index_ordered_and_relabelled(
+        self, monkeypatch, cells
+    ):
+        if cells is not None:
+            monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", cells)
+        rng = random.Random(cells)
+        for trial in range(24):
+            n = rng.randint(1, 12)
+            leq = index_ordered_leq(rng, n)
+            r, index = pairwise_realizer(rng, leq)
+            bits = r.phi.bits.copy()
+            for x, y in rng.sample(sorted(index), min(len(index), rng.randint(0, 2))):
+                bits[index[x, y]] ^= 1  # (x, y) on either side of the diagonal
+            if rng.random() < 0.2:
+                bits[-1] = 0
+            broken = with_phi(r, bits)
+            perm = np.array(rng.sample(range(n), n))
+            relabelled = leq[np.ix_(perm, perm)]
+            moved = pd.transport(broken, np.argsort(perm))
+            assert_matches_oracle(as_poset(leq), broken)
+            assert_matches_oracle(as_poset(relabelled), moved)
+
+    @pytest.mark.parametrize("cells", (1, 7, None))
+    @pytest.mark.parametrize("side", ("upper", "lower"))
+    def test_planted_on_one_side(self, monkeypatch, cells, side):
+        # "upper" breaks pairs (x, y) with x < y, "lower" pairs (y, x), which
+        # the half scan sees only through the phi[~t] half of its table.
+        if cells is not None:
+            monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", cells)
+        rng = random.Random(f"{side}{cells}")
+        for trial in range(6):
+            n = rng.randint(2, 12)
+            leq = index_ordered_leq(rng, n)
+            r, index = pairwise_realizer(rng, leq)
+            above = [(x, y) for x, y in index if (x < y) == (side == "upper")]
+            planted = rng.sample(above, min(len(above), rng.randint(1, 3)))
+            bits = r.phi.bits.copy()
+            for x, y in planted:
+                bits[index[x, y]] ^= 1
+            found = assert_matches_oracle(as_poset(leq), with_phi(r, bits))
+            for c in found.values():
+                assert (c.x, c.y) == min(planted)
+
+    @pytest.mark.parametrize("cells", (1, 7, None))
+    def test_planted_on_the_diagonal(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", cells)
+        rng = random.Random(cells)
+        for n in (1, 2, 5, 12):
+            leq = index_ordered_leq(rng, n)
+            r, _ = pairwise_realizer(rng, leq)
+            bits = r.phi.bits.copy()
+            bits[-1] = 0  # phi(1,...,1), the answer on every diagonal cell
+            found = assert_matches_oracle(as_poset(leq), with_phi(r, bits))
+            c = found[REFLEXIVE_INCLUSIVE]
+            assert (c.x, c.y) == (0, 0) and c.expected and not c.got
+            assert found[DISTINCT_ONLY] is None
+
+    def test_planted_across_chunk_boundaries(self, monkeypatch):
+        # Three rows per chunk: [0, 3), [3, 6), [6, 9), [9, 12).  A pair
+        # {x, y} fails the chunk of x; the full rescan from that chunk must
+        # run on to the chunk of y when only (y, x) is wrong, and must start
+        # at that chunk, not after it, when (x, y) is.
+        n = 12
+        monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 3 * n)
+        rng = random.Random(12)
+        leq = index_ordered_leq(rng, n)
+        r, index = pairwise_realizer(rng, leq)
+        for planted, first in (
+            ([(7, 2)], (7, 2)),
+            ([(3, 2)], (3, 2)),
+            ([(2, 3)], (2, 3)),
+            ([(10, 1), (4, 8)], (4, 8)),
+            ([(11, 0), (2, 9)], (2, 9)),
+            ([(8, 5), (5, 9), (9, 3)], (5, 9)),
+        ):
+            bits = r.phi.bits.copy()
+            for x, y in planted:
+                bits[index[x, y]] ^= 1
+            found = assert_matches_oracle(as_poset(leq), with_phi(r, bits))
+            for c in found.values():
+                assert (c.x, c.y) == first, planted
+
+    def test_full_rescan_only_from_the_failing_chunk(self, monkeypatch):
+        # Records each chunk scan as (start row, half).  A realizer that
+        # verifies needs the half scan alone, which also shows that cells
+        # y <= x inside a chunk are masked: (y, x) with y > x answers 0 in
+        # leq but phi[t] + 2 * phi[~t] there can be 2.
+        calls = []
+
+        class RecordingPool(realizer_module.ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                def spy(start, half):
+                    calls.append((start, half))
+                    return fn(start, half)
+
+                return super().map(spy, *iterables)
+
+        monkeypatch.setattr(realizer_module, "ThreadPoolExecutor", RecordingPool)
+        n = 64
+        monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 5 * n)
+        p = pd.boolean_lattice(6)
+        assert pd.verify(p, pd.b6_realizer(), threads=1).ok
+        assert calls == [(a, True) for a in range(0, n, 5)]
+        rng = random.Random(6)
+        leq = index_ordered_leq(rng, 12)
+        r, index = pairwise_realizer(rng, leq)
+        monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 3 * 12)
+        for planted in ((4, 8), (8, 4), (11, 5)):
+            bits = r.phi.bits.copy()
+            bits[index[planted]] ^= 1
+            for threads in (1, 2):
+                calls.clear()
+                c = pd.verify(as_poset(leq), with_phi(r, bits), threads=threads)
+                assert (c.counterexample.x, c.counterexample.y) == planted
+                full = sorted(a for a, half in calls if not half)
+                assert full[0] == min(planted) // 3 * 3, (planted, calls)
+
+    def test_not_antisymmetric_takes_the_full_scan(self):
+        # leq[1, 2] and leq[2, 1] both hold; the realizer answers (1, 2)
+        # right and (2, 1) wrong.  A half scan would read only (1, 2)'s
+        # cell, where phi[t] + 2 * phi[~t] = 1 + 0 matches leq[1, 2].
+        leq = pd.chain(4).leq.copy()
+        leq[2, 1] = True
+        p = as_poset(leq)
+        r = pd.from_extensions(pd.chain(4), [pd.LinearOrder(rank=np.arange(4))])
+        for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+            for threads in (1, 2, 3):
+                assert pd.verify(p, r, mode, threads=threads) == pd.VerifyOutcome(
+                    ok=False,
+                    pairs_checked=12,
+                    counterexample=pd.Counterexample(
+                        x=2, y=1, query=(0,), expected=True, got=False
+                    ),
+                )
+
+
 @given(
     st.integers(2, 8).flatmap(
         lambda n: st.tuples(

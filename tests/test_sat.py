@@ -1,6 +1,7 @@
 """CNF encoding, the internal DPLL solver, external solver handling, and
 model decoding."""
 
+import itertools
 import random
 import stat
 import sys
@@ -30,6 +31,7 @@ from posetdim.sat import (
     VarMap,
     _literal_table,
     _solver_clauses,
+    _width_runs,
     check_model,
     internal_sat_solve,
     parse_dimacs,
@@ -500,6 +502,9 @@ class TestDimacsWriter:
             assert (tmp_path / f"{k}.cnf").read_bytes() == to_dimacs(cnf).encode()
 
     def test_b6_write_peak_bounded(self, tmp_path):
+        # Chunk-sized gathers only: run ends are found a window of offsets at
+        # a time, with no int64 width per clause (about 10 MB for B6's
+        # 1,287,412 clauses, and as much again for their differences).
         cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5)
         tracemalloc.start()
         try:
@@ -507,7 +512,23 @@ class TestDimacsWriter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("window", [1, 2, 5, pd.sat._RUN_WINDOW])
+    def test_width_runs_across_windows(self, monkeypatch, window):
+        # Window edges fall inside runs, at their ends and on one-clause
+        # runs; the runs must be the maximal ones all the same.
+        monkeypatch.setattr(pd.sat, "_RUN_WINDOW", window)
+        rng = np.random.default_rng(window)
+        cases = [[], [[1]], [[1, 2]] * 3] + [_random_clauses(rng, 9) for _ in range(40)]
+        for clauses in cases:
+            want, a = [], 0
+            for _, group in itertools.groupby(clauses, len):
+                rows = list(group)
+                want.append((a, rows))
+                a += len(rows)
+            arr = CnfInstance(9, clauses, VarMap()).clauses
+            assert [(a, block.tolist()) for a, block in _width_runs(arr)] == want
 
 
 def _script(tmp_path, name, body):
