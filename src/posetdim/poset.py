@@ -1,8 +1,11 @@
-"""Finite posets as dense relation matrices, plus the constructions used
-throughout the toolkit: Boolean lattices, multiset grids, standard examples,
-products, induced subposets and linear extensions.  Covers (and the axiom
-check) come from one greedy walk over packed up-sets, with no matrix product.
-The block decomposition of a Boolean lattice is an index bit permutation.
+"""Finite posets, plus the constructions used throughout the toolkit:
+Boolean lattices, multiset grids, standard examples, products, induced
+subposets and linear extensions.  A poset's relation is a dense bool
+matrix, except for a Boolean lattice, whose relation is read by arithmetic
+on the subset encoding (``x <= y`` iff ``x & y == x``) and whose matrix is
+built only on demand.  Covers (and the axiom check) come from one greedy
+walk over packed up-sets, with no matrix product.  The block decomposition
+of a Boolean lattice is an index bit permutation.
 
 Conventions pinned here and relied on by file formats and realizer transport:
 
@@ -56,13 +59,51 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: Element indices; element x of a Boolean lattice is the subset with bits x.
+_INDICES = _freeze(np.arange(MAX_ELEMENTS, dtype=np.uint16))
+
+_BLOCK_CELLS = 1 << 18  # cells per row block when a lattice's matrix is built
+
+
 @dataclass(frozen=True, eq=False)
 class Poset:
-    """Immutable finite poset on ``0..n-1`` with a dense relation matrix."""
+    """Immutable finite poset on ``0..n-1``.
+
+    ``leq`` is its relation matrix.  A Boolean lattice (``boolean_lattice``)
+    holds none: its relation is read by arithmetic on the subset encoding,
+    and ``leq`` is built on its first read, cached and read-only.
+    """
 
     n: int
     leq: np.ndarray            # (n, n) bool, read-only
     labels: tuple[str, ...]
+    _subsets = False  # True on a Boolean lattice: x <= y iff x & y == x
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only for an attribute not set: a Boolean lattice's leq.
+        if name != "leq" or not self._subsets:
+            raise AttributeError(name)
+        n = self.n
+        step = max(1, _BLOCK_CELLS // n)
+        leq = np.empty((n, n), dtype=bool)
+        spare = np.empty((min(step, n), n), dtype=np.uint16)
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            self._relation(slice(a, b), slice(0, n), leq[a:b], spare[: b - a])
+        object.__setattr__(self, "leq", _freeze(leq))
+        return self.leq
+
+    def _relation(
+        self, rows: slice, cols: slice, out: np.ndarray, spare: np.ndarray
+    ) -> np.ndarray:
+        """The block ``leq[rows, cols]``: a view of the matrix, or for a
+        Boolean lattice ``x & y == x`` written into ``out`` (bool, the
+        block's shape), with ``spare`` (uint16, same shape) holding x & y."""
+        if not self._subsets:
+            return self.leq[rows, cols]
+        x = _INDICES[rows, None]
+        np.bitwise_and(x, _INDICES[cols], out=spare)
+        return np.equal(spare, x, out=out)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -180,23 +221,19 @@ def from_relation_pairs(
 
 
 def boolean_lattice(n: int) -> Poset:
-    """All subsets of ``{1..n}`` under inclusion, subset-as-bit-vector indexed."""
+    """All subsets of ``{1..n}`` under inclusion, subset-as-bit-vector
+    indexed.  No relation matrix is built until ``leq`` is first read."""
     if n < 0:
         raise BadParameter(f"n must be >= 0, got {n}")
     size = _capped_size(2, n)
-    idx = np.arange(size, dtype=np.uint16)
-    # Row blocks of about 2**18 cells, so the uint16 intersections never
-    # take more than a small temporary beside the bool matrix.
-    rows_per_block = max(1, (1 << 18) // size)
-    leq = np.empty((size, size), dtype=bool)
-    for start in range(0, size, rows_per_block):
-        x = idx[start : start + rows_per_block, None]
-        np.equal(x & idx, x, out=leq[start : start + len(x)])
     # Doubling: subset x + 2**(k-1) is subset x with k appended.
     labels = ["{}"]
     for k in range(1, n + 1):
         labels += [f"{{{k}}}"] + [s[:-1] + f",{k}}}" for s in labels[1:]]
-    return _make(leq, labels)
+    p = object.__new__(Poset)  # no matrix: leq is built on its first read
+    for name, value in (("n", size), ("labels", tuple(labels)), ("_subsets", True)):
+        object.__setattr__(p, name, value)
+    return p
 
 
 def grid_coordinates(n: int, m: int) -> np.ndarray:

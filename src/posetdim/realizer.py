@@ -194,10 +194,14 @@ def verify(
     the scan stops at the first chunk with a mismatch, so the reported
     counterexample is the first in ascending (x, then y) order for every
     thread count.  Each thread fills one set of chunk-sized buffers in place
-    and reuses it for every chunk it scans.
+    and reuses it for every chunk it scans.  A chunk reads the relation as a
+    slice of ``leq``, except on a Boolean lattice, which holds no matrix:
+    there ``x & y == x`` is written into the chunk's buffers that the query
+    no longer needs, so the scan never builds the (n, n) relation.
 
     When index order extends the poset (``leq[y, x]`` is False for y > x, as
-    for every family constructor), each unordered pair is looked up once.
+    for every family constructor and by construction for a Boolean lattice,
+    where it is not checked), each unordered pair is looked up once.
     The orders are total, so for x != y the query of (y, x) is the bitwise
     complement of the query t of (x, y), and ``both[t] = phi[t] +
     2 * phi[~t]`` answers both pairs; it must equal ``leq[x, y]``.  Chunk
@@ -227,6 +231,7 @@ def verify(
     ranks = np.array([o.rank for o in r.orders], dtype=np.uint16).reshape(r.d, n)
     phi = r.phi.bits.astype(bool)
     both = r.phi.bits + 2 * r.phi.bits[::-1]  # index t ^ (2**d - 1) is t reversed
+    diagonal = np.ones(n, bool) if p._subsets else p.leq.diagonal()
     above = ~np.tri(min(rows_per_chunk, n), dtype=bool)  # y > x inside a chunk
     local = threading.local()
 
@@ -260,13 +265,15 @@ def verify(
         # per-index bounds check of the default "raise".
         if half:
             np.take(both, t, out=acc, mode="clip")
-            np.not_equal(acc, p.leq[rows, cols].view(np.uint8), out=cells)
+            leq = p._relation(rows, cols, cells, t)
+            np.not_equal(acc, leq.view(np.uint8), out=cells)
             np.logical_and(cells[:, :h], above[:h, :h], out=cells[:, :h])
             if mode == REFLEXIVE_INCLUSIVE:  # (x, x) is flat[(x - start) * (w + 1)]
-                np.not_equal(p.leq.diagonal()[rows], phi[-1], out=flat[:: w + 1])
+                np.not_equal(diagonal[rows], phi[-1], out=flat[:: w + 1])
             return start if flat.any() else None
         np.take(phi, t, out=cells, mode="clip")
-        np.not_equal(cells, p.leq[rows], out=cells)  # now True at mismatches
+        leq = p._relation(rows, cols, acc.view(bool), t)
+        np.not_equal(cells, leq, out=cells)  # now True at mismatches
         if mode == DISTINCT_ONLY:
             flat[start :: n + 1] = False  # cells (x, x) of rows x in the chunk
         k = int(flat.argmax())
@@ -280,7 +287,8 @@ def verify(
             hits.close()  # cancels the chunks not yet started
             return hit
 
-        start = first_hit(0, True) if _index_order_extends(p.leq) else 0
+        extends = p._subsets or _index_order_extends(p.leq)
+        start = first_hit(0, True) if extends else 0
         first = None if start is None else first_hit(start, False)
 
     pairs = n * (n - 1)
@@ -288,12 +296,11 @@ def verify(
         return VerifyOutcome(ok=True, pairs_checked=pairs)
     x, y = divmod(first, n)
     q = query_tuple(r, x, y)
+    got = r.phi(q)
     return VerifyOutcome(
         ok=False,
         pairs_checked=pairs,
-        counterexample=Counterexample(
-            x=x, y=y, query=q, expected=bool(p.leq[x, y]), got=r.phi(q)
-        ),
+        counterexample=Counterexample(x=x, y=y, query=q, expected=not got, got=got),
     )
 
 

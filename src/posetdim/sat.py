@@ -437,7 +437,8 @@ def _solver_clauses(
     runs = list(_width_runs(clauses))
     keep, marked = _first_copies(runs, len(clauses), top)
     used = np.zeros(top + 1, dtype=bool)
-    used[np.abs(clauses.lits[np.repeat(keep, clauses.widths)])] = True
+    for a, block in runs:  # one run's kept rows at a time
+        used[np.abs(block[keep[a : a + len(block)]])] = True
     used = np.flatnonzero(used)
     values, position = _literal_table(clauses.lits)
     renumbered = np.searchsorted(used, np.abs(values)) + 1

@@ -83,6 +83,38 @@ def small_poset_texts(draw):
     return "\n".join(lines)
 
 
+@st.composite
+def small_realizer_texts(draw):
+    """A realizer document on at most 64 elements and 4 orders, often well
+    formed, with orders, labels and phi broken and lines shuffled, dropped
+    or added at random; at most 12 lines.  Added free text is one line that
+    is not an "n" line, so nothing large is sized."""
+    n, d = draw(st.integers(-1, 64)), draw(st.integers(-1, 4))
+    size, width = max(n, 0), 1 << max(d, 0)
+    lines = ["realizer v1", f"n {n}", f"d {d}"]
+    for i in range(1, d + 1):
+        seq = draw(st.permutations(range(size)))
+        if draw(st.integers(0, 3)) == 0:
+            seq = draw(st.lists(st.integers(-1, size), max_size=size + 1))
+        label = i if draw(st.integers(0, 7)) else draw(st.integers(0, 5))
+        lines.append(f"order {label}: " + " ".join(map(str, seq)))
+    bits = st.text("01", min_size=width, max_size=width)
+    lines.append("phi " + draw(st.one_of(bits, st.text("012 ", max_size=17))))
+    edits = st.sampled_from((0, 0, 0, 1, 2))  # most documents keep their lines
+    if draw(edits):
+        lines = lines[:1] + draw(st.permutations(lines[1:]))
+    for _ in range(draw(edits)):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(edits)):
+        junk = draw(
+            st.text(max_size=16).filter(
+                lambda t: len(t.splitlines()) <= 1 and _no_n_line(t)
+            )
+        )
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
+
+
 class TestPosetRoundTrip:
     @pytest.mark.parametrize("p", BUILTIN_POSETS, ids=lambda p: f"n{p.n}")
     def test_parse_serialize_identity(self, p):
@@ -232,6 +264,16 @@ class TestRealizerRoundTrip:
         with pytest.raises(ParseError) as info:
             parse_realizer(text)
         assert str(info.value).startswith(message)
+
+    @settings(max_examples=300)
+    @given(small_realizer_texts())
+    def test_small_texts_parse_or_raise_toolkit_errors(self, text):
+        try:
+            r = parse_realizer(text)
+        except ToolkitError:
+            return
+        assert 1 <= r.n <= 64 and r.d <= 4
+        assert parse_realizer(serialize_realizer(r)) == r
 
     def test_huge_n_rejected_before_allocating(self):
         def parse():

@@ -185,18 +185,31 @@ class TestBooleanLattice:
     def test_matches_naive_matrix(self, n):
         idx = np.arange(2**n)
         naive = (idx[:, None] & idx[None, :]) == idx[:, None]
-        assert np.array_equal(pd.boolean_lattice(n).leq, naive)
+        p = pd.boolean_lattice(n)
+        leq = p.leq  # built on this first read
+        assert np.array_equal(leq, naive) and not leq.flags.writeable
+        assert p.leq is leq
 
-    def test_b13_builds_in_one_matrix(self):
-        # The bool matrix is 64 MB; row blocks add only a small buffer, no
-        # full-size temporary.
+    def test_b13_holds_no_matrix(self):
+        # Labels only; the relation is read by arithmetic.
         tracemalloc.start()
         try:
             pd.boolean_lattice(13)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 80 * 2**20
+        assert peak < 4 * 2**20
+
+    def test_b13_builds_in_one_matrix(self):
+        # The bool matrix is 64 MB; row blocks add only a small buffer, no
+        # full-size temporary.
+        tracemalloc.start()
+        try:
+            pd.boolean_lattice(13).leq
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20
 
     def test_size_cap(self):
         with pytest.raises(SizeCap):

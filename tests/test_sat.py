@@ -348,6 +348,27 @@ class TestSolverLoad:
             widths.update(map(len, kept))
         assert max(widths) > 8
 
+    def test_used_variables_across_long_runs(self):
+        # Clauses sorted by width form long runs of equal width, as the
+        # encoder's do, with permuted copies among them; variables past nv
+        # occur only in tautologies, which are dropped, so they are unused.
+        rng = random.Random(20261018)
+        for trial in range(100):
+            nv = rng.randint(1, 12)
+            lit = lambda: rng.choice((1, -1)) * rng.randint(1, nv)
+            base = [
+                [lit() for _ in range(rng.choice((1, 2, 3, 6)))]
+                for _ in range(rng.randint(1, 60))
+            ]
+            copies = [rng.sample(c, len(c)) for c in rng.sample(base, len(base) // 2)]
+            tautologies = [[v, -v, lit()] for v in range(nv + 1, nv + 4)]
+            clauses = sorted(base + copies + tautologies, key=len)
+            want = {
+                abs(x) for c in clauses if not any(-y in c for y in c) for x in c
+            }
+            used = _solver_clauses(CnfInstance(nv + 3, clauses, VarMap()).clauses)[2]
+            assert used.tolist() == sorted(want), (trial, clauses)
+
     def test_search_lists_span_the_used_variables(self):
         # Two variables occur; the model's 2,000,001 slots are the only cost
         # that grows with the largest id (a traced peak of about 18 MB).
