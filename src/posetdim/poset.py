@@ -3,8 +3,9 @@ Boolean lattices, multiset grids, standard examples, products, induced
 subposets and linear extensions.  A poset's relation is a dense bool
 matrix, except for a Boolean lattice, whose relation is read by arithmetic
 on the subset encoding (``x <= y`` iff ``x & y == x``) and whose matrix is
-built only on demand.  Covers (and the axiom check) come from one greedy
-walk over packed up-sets, with no matrix product.  The block decomposition
+built only on demand.  A lattice's covers add one element to a subset;
+other posets' covers (and the axiom check) come from one greedy walk over
+packed up-sets, with no matrix product.  The block decomposition
 of a Boolean lattice is an index bit permutation.
 
 Conventions pinned here and relied on by file formats and realizer transport:
@@ -445,10 +446,17 @@ def block_decomposition_iso(n: int, block_sizes: list[int]) -> np.ndarray:
 def upper_covers(p: Poset) -> Iterator[list[int]]:
     """The elements covering x, ascending, for each x in turn.
 
-    Up-sets are packed into ints, columns ordered by down-set size (a linear
+    A Boolean lattice's covers of x add one missing element: x | 2**i for
+    each bit i not in x, so its relation is never built.  Otherwise up-sets
+    are packed into ints, columns ordered by down-set size (a linear
     extension), so the lowest bit left in x's strict up-set is a cover of x.
     Each step clears that cover's up-set and its bit, so it ends on any input.
     """
+    if p._subsets:
+        k = p.n.bit_length() - 1
+        for x in range(p.n):
+            yield [x | 1 << i for i in range(k) if not x >> i & 1]
+        return
     order = np.argsort(p.leq.sum(axis=0), kind="stable")
     pos = np.argsort(order).tolist()
     up = [

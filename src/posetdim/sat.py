@@ -12,6 +12,11 @@ integer arrays (see ClauseArray), so encoding, DIMACS export, model checks
 and decoding are array operations rather than per-literal Python work.
 DIMACS export gathers one fixed-width token slot per literal, a run of
 equal-width clauses at a time, so it never indexes individual bytes.
+
+The encoder marks the clause copies it writes (CnfInstance.copies), and the
+internal solver loads each marked copy once; parsed and hand-built CNFs carry
+no mask and are loaded without comparing clauses with each other.  Models
+are bool arrays indexed by variable id.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import shlex
 import subprocess
 import tempfile
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -133,21 +138,30 @@ class ClauseArray:
 
 @dataclass
 class CnfInstance:
+    """A CNF; ``copies[k]`` is True where clause k repeats an earlier clause's
+    literal set.  The encoder marks its copies; by default none is marked."""
+
     num_vars: int
     clauses: ClauseArray  # a list of int lists is converted on construction
     varmap: VarMap
+    copies: np.ndarray | None = field(default=None, compare=False)  # bool
 
     def __post_init__(self) -> None:
         if not isinstance(self.clauses, ClauseArray):
             self.clauses = ClauseArray.from_lists(self.clauses)
         if (self.clauses.widths == 0).any():
             raise BadParameter("empty clause at construction")
+        if self.copies is None:
+            self.copies = np.zeros(len(self.clauses), dtype=bool)
+        shape = np.shape(self.copies)
+        if getattr(self.copies, "dtype", None) != bool or shape != (len(self.clauses),):
+            raise BadParameter("copies must be a bool array, one entry per clause")
 
 
 @dataclass
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
-    assignment: list[bool] | None = None  # 1-based; index 0 unused
+    assignment: np.ndarray | None = None  # bool, 1-based; index 0 unused
     model_verified: bool = False
     conflicts: int = 0
 
@@ -181,6 +195,12 @@ def encode_bdim_sat(
     transitivity per order over ordered triples (x, y, z) of distinct
     elements, then linking per ordered pair (x, y) and query tuple t, then
     the reflexive unit.
+
+    The copies this order writes are marked in ``copies``: each transitivity
+    clause is written once per rotation of (x, y, z), first with x smallest,
+    and with phi fixed, linking rows (x, y, t) and (y, x, ~t) hold the same
+    literals, first with x < y.  Free-phi linking rows differ in their phi
+    literal, so none is a copy.
     """
     _check_mode(mode)
     if d < 1:
@@ -223,8 +243,14 @@ def encode_bdim_sat(
         phi_lit = np.where(need[:, None], phi_ids, -phi_ids)
         linking = np.concatenate([contradict, phi_lit[:, :, None]], axis=2)
         linking = linking.reshape(-1, d + 1)
+        linking_copies = False  # rows differ in their phi literal
     else:
-        linking = contradict[fixed_phi.bits.astype(bool) != need[:, None]]
+        bits = fixed_phi.bits.astype(bool)
+        written = bits != need[:, None]
+        linking = contradict[written]
+        # row (y, x, ~t) is written too, with the same literals
+        mirrored = bits[::-1] != p.leq[py, px][:, None]
+        linking_copies = ((px > py)[:, None] & mirrored)[written]
     blocks = [transitivity, linking]
 
     # (c) reflexive queries must answer yes
@@ -238,11 +264,12 @@ def encode_bdim_sat(
             aux = varmap.num_vars
             blocks.append(np.array([[aux], [-aux]]))
 
-    return CnfInstance(
-        num_vars=varmap.num_vars,
-        clauses=ClauseArray.from_blocks(blocks),
-        varmap=varmap,
-    )
+    # The mask is built after the clause array, so it is not held at its peak.
+    clauses = ClauseArray.from_blocks(blocks)
+    copies = np.zeros(len(clauses), dtype=bool)
+    copies[: len(transitivity)] = np.tile((tx > ty) | (tx > tz), d)  # x not least
+    copies[len(transitivity) :][: len(linking)] = linking_copies
+    return CnfInstance(varmap.num_vars, clauses, varmap, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +277,7 @@ def encode_bdim_sat(
 
 
 def check_model(
-    clauses: ClauseArray | list[list[int]], assignment: list[bool]
+    clauses: ClauseArray | list[list[int]], assignment: np.ndarray | list[bool]
 ) -> bool:
     """True iff the assignment satisfies every clause."""
     if not isinstance(clauses, ClauseArray):
@@ -322,144 +349,59 @@ def _width_runs(clauses: ClauseArray) -> Iterator[tuple[int, np.ndarray]]:
             yield a, block.reshape(b - a, -1)
 
 
-_NETWORK_WIDTH = 8  # widest rows sorted by compare-exchanges, not np.sort
-
-
-def _sorted_codes(block: np.ndarray) -> np.ndarray:
-    """Literal codes 2*var + (lit < 0) of block, transposed so that column k
-    holds row k, with each column sorted ascending.
-
-    Codes fit uint32, since no id exceeds 2**31 - 1.  Up to _NETWORK_WIDTH
-    rows are sorted by an odd-even transposition network of whole-row
-    compare-exchanges, which streams over contiguous memory instead of
-    sorting each short column on its own.
-    """
-    code = np.empty(block.shape[::-1], dtype=np.int32)
-    np.abs(block.T, out=code)
-    code = code.view(np.uint32)
-    code <<= 1
-    code |= block.T < 0
-    width = len(code)
-    if width > _NETWORK_WIDTH:
-        code.sort(axis=0)
-        return code
-    low = np.empty_like(code[0])
-    for r in range(width):
-        for j in range(r % 2, width - 1, 2):
-            np.minimum(code[j], code[j + 1], out=low)
-            np.maximum(code[j], code[j + 1], out=code[j + 1])
-            code[j] = low
-    return code
-
-
-def _packed_keys(code: np.ndarray, bits: int) -> np.ndarray:
-    """The columns of code, codes below 2**bits, packed into int64 keys: one
-    row of keys per 63 // bits rows of code."""
-    per = 63 // bits
-    keys = np.zeros((-(-len(code) // per), code.shape[1]), dtype=np.int64)
-    for j, row in enumerate(code):
-        keys[j // per] <<= bits
-        keys[j // per] |= row
-    return keys
-
-
-def _first_copies(
-    runs: list[tuple[int, np.ndarray]], count: int, top: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, marked): masks over the count clauses of runs (see _width_runs),
-    whose ids are at most top.
-
-    A row is marked when a variable repeats in it.  keep is False for a
-    tautology and for every clause whose literal set, repeats dropped,
-    already appeared earlier, since a duplicate is subsumed by its first
-    copy.  Each row's literal codes are sorted once (_sorted_codes): sorted,
-    they are the canonical form of a clause without repeats, and a repeated
-    variable lands in adjacent places, so width - 1 compares find it.  The
-    canonical rows of each run are packed into int64 keys at once, so only
-    one run's codes are ever held, and the keys of one width are grouped by
-    a stable sort, so each group starts with its earliest copy.
-    """
-    bits = (2 * top + 1).bit_length()
-    marked = np.zeros(count, dtype=bool)
-    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for a, block in runs:
-        code = _sorted_codes(block)
-        mark = marked[a : a + len(block)]  # a view: marks land in marked
-        for lo, hi in zip(code[:-1], code[1:]):
-            mark |= hi <= (lo | 1)  # codes 2v and 2v + 1 share variable v
-        keys, ids = _packed_keys(code, bits), np.arange(a, a + len(block))
-        repeats = np.flatnonzero(mark)
-        for k in repeats.tolist():
-            row = sorted(set(code[:, k].tolist()))
-            if len({c >> 1 for c in row}) == len(row):  # else a tautology
-                reduced = _packed_keys(np.array(row)[:, None], bits)
-                groups.setdefault(len(row), []).append((reduced, ids[k : k + 1]))
-        if len(repeats):
-            plain = np.flatnonzero(~mark)
-            keys, ids = keys[:, plain], ids[plain]
-        groups.setdefault(len(code), []).append((keys, ids))
-    keep = np.zeros(count, dtype=bool)
-    while groups:  # popped, so that each group's keys go once sorted
-        parts = groups.popitem()[1]
-        keys, ids = (
-            parts[0]
-            if len(parts) == 1
-            else [np.concatenate(x, axis=-1) for x in zip(*parts)]
-        )
-        del parts
-        order = np.lexsort(keys[::-1])
-        keys = keys.take(order, axis=1)
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        keep[ids[order[first]]] = True
-    return keep, marked
-
-
 def _solver_clauses(
-    clauses: ClauseArray,
+    cnf: CnfInstance,
 ) -> tuple[list[list[int]], list[int], np.ndarray]:
     """(clauses with two or more literals, unit literals, ascending ids of the
     variables in them), with the literals renumbered: variable used[k - 1]
     becomes k, so that the search's lists span the variables it uses, not
     the largest id.
 
-    Repeated literals are dropped (first occurrence kept), tautologies
-    removed, and so is every clause whose literal set already appeared
-    earlier (see _first_copies).  Each run of equal input width gives its
-    kept rows without a repeated variable, in input order and copied in one
-    block, then its rare rows with one, reduced on a Python path.  Neither
-    duplicates nor order change the search: unit propagation reaches one
-    fixpoint, or a conflict, in any order.  The lists share one int object
-    per literal value instead of one per occurrence, and the first two
-    literals of each list are its watches (see internal_sat_solve).
+    Clauses marked in cnf.copies are left out, and no clause is compared
+    with another: an unmarked duplicate is loaded again, which changes
+    neither the search nor its model.  A repeated literal is kept once (its
+    first occurrence) and a tautology is dropped, so a variable that occurs
+    only in tautologies is not used.  One sort of |literals| per run of equal
+    width finds the rows with a repeat; they are reduced on a Python path,
+    after the run's other rows.  The lists share one int object per literal
+    value, and the first two literals of each list are its watches (see
+    internal_sat_solve).
     """
-    top = _largest_id(clauses.lits)
-    runs = list(_width_runs(clauses))
-    keep, marked = _first_copies(runs, len(clauses), top)
+    top = _largest_id(cnf.clauses.lits)
     used = np.zeros(top + 1, dtype=bool)
-    for a, block in runs:  # one run's kept rows at a time
-        used[np.abs(block[keep[a : a + len(block)]])] = True
+    runs = []  # (rows without a repeated variable, reduced rows) per run
+    for a, block in _width_runs(cnf.clauses):
+        block = block[~cnf.copies[a : a + len(block)]]
+        ids = np.sort(np.abs(block), axis=1)
+        repeats = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
+        reduced = []
+        if repeats.any():
+            for row in block[repeats].tolist():
+                lits = list(dict.fromkeys(row))
+                if not any(-lit in lits for lit in lits):  # else a tautology
+                    reduced.append(lits)
+                    used[np.abs(lits)] = True
+            block = block[~repeats]
+        used[np.abs(block)] = True
+        runs.append((block, reduced))
     used = np.flatnonzero(used)
-    values, position = _literal_table(clauses.lits)
+    values, position = _literal_table(cnf.clauses.lits)
     renumbered = np.searchsorted(used, np.abs(values)) + 1
     shared = np.where(values < 0, -renumbered, renumbered).astype(object)
     kept: list[list[int]] = []
     units: list[int] = []
-    for a, block in runs:
-        sel = keep[a : a + len(block)]
-        mark = marked[a : a + len(block)]
-        plain, repeats = block[sel & ~mark], block[sel & mark]
-        rows = shared[position(plain)].tolist()
+    for block, reduced in runs:
+        rows = shared[position(block)].tolist()
         if block.shape[1] == 1:  # no repeats in a single literal
             units.extend(lit for (lit,) in rows)
             continue
         kept.extend(rows)
-        for row in shared[position(repeats)].tolist():
-            lits = list(dict.fromkeys(row))
-            if len(lits) == 1:
-                units.append(lits[0])
+        for lits in reduced:
+            row = shared[position(np.array(lits))].tolist()
+            if len(row) == 1:
+                units.append(row[0])
             else:
-                kept.append(lits)
+                kept.append(row)
     return kept, units, used
 
 
@@ -501,29 +443,29 @@ def internal_sat_solve(
 ) -> SatResult:
     """Complete DPLL with two watched literals and chronological backtracking.
 
-    The search runs on the clauses of _solver_clauses, so duplicate clauses
-    are loaded once, and in its numbering, so its lists span the variables
-    in those clauses, not the largest id.  Clause c watches c[0] and c[1]: a
-    falsified watch is swapped into c[1] and, unless c[0] is true, replaced
-    from c[2:] by a literal that is not false; failing that, c[0] is unit or
-    in conflict.  value[lit] is the value of literal lit, so value[-v] is its
-    complement, and watches[lit] (see _watch_lists) holds the clause lists
-    themselves.
+    The search runs on the clauses of _solver_clauses, so the copies the
+    encoder marks are loaded once, and in its numbering, so its lists span
+    the variables in those clauses, not the largest id.  Clause c watches
+    c[0] and c[1]: a falsified watch is swapped into c[1] and, unless c[0]
+    is true, replaced from c[2:] by a literal that is not false; failing
+    that, c[0] is unit or in conflict.  value[lit] is the value of literal
+    lit, so value[-v] is its complement, and watches[lit] (see _watch_lists)
+    holds the clause lists themselves.
     Branching is deterministic: the variables that occur in those clauses,
     in the _branch_order sequence, True first.  The scan for the next branch
     variable never restarts: after a conflict it resumes at the position of
     the decision it flips, since every variable before that position was
     assigned before the decision and survives the backtrack.  A variable
     that occurs in no clause is set True in the model, the value that
-    decision would give it.  Sat assignments are post-checked against every
-    clause of cnf, duplicates included, before being returned; exceeding
-    conflict_limit yields status "unknown".  A variable above cnf.num_vars
-    raises BadParameter.
+    decision would give it.  A sat model, a bool array indexed by id, is
+    post-checked against every clause of cnf, copies included, before being
+    returned; exceeding conflict_limit yields status "unknown".  A variable
+    above cnf.num_vars raises BadParameter.
     """
     nvars = cnf.num_vars
     if _largest_id(cnf.clauses.lits) > nvars:
         raise BadParameter(f"a clause names a variable above num_vars = {nvars}")
-    clauses, units, used = _solver_clauses(cnf.clauses)
+    clauses, units, used = _solver_clauses(cnf)
     top = len(used)
 
     value = [0] * (2 * top + 1)  # value[lit]: 0 unassigned, +1 true, -1 false
@@ -587,7 +529,7 @@ def internal_sat_solve(
                     raise AssertionError("internal solver produced a bad model")
                 return SatResult(
                     status="sat",
-                    assignment=model.tolist(),
+                    assignment=model,
                     model_verified=True,
                     conflicts=conflicts,
                 )
@@ -742,12 +684,9 @@ def parse_solver_output(text: str, num_vars: int) -> SatResult:
         raise UnparseableOutput("no recognizable 's' result line in solver output")
     if status != "sat":
         return SatResult(status=status)
-    assignment = [False] * (num_vars + 1)
-    for lit in values:
-        if lit == 0:
-            continue
-        if abs(lit) <= num_vars:
-            assignment[abs(lit)] = lit > 0
+    lits = np.array([v for v in values if 0 < abs(v) <= num_vars], dtype=np.int64)
+    assignment = np.zeros(num_vars + 1, dtype=bool)
+    assignment[np.abs(lits)] = lits > 0
     return SatResult(status="sat", assignment=assignment)
 
 
@@ -796,7 +735,7 @@ def run_external_solver(
 
 def decode_model(
     varmap: VarMap,
-    assignment: list[bool],
+    assignment: np.ndarray | list[bool],
     p: Poset,
     d: int,
     fixed_phi: TruthTable | None = None,

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import posetdim as pd
+from posetdim import cli
 from posetdim.formats import parse_poset, parse_poset_spec, serialize_poset
+from posetdim.poset import upper_covers
 
 DUMP_GOLDEN = {
     "boolean:12": "2a460d0577a8bf3a06b7b5cde8c1516e54d0f1c874537770d7cfa35be7ded9d5",
@@ -49,3 +51,26 @@ def test_relabelled_random_dump_pinned():
     p = parse_poset(relabelled_random_text())
     assert pd.some_linear_extension(p) != pd.LinearOrder.from_sequence(range(p.n))
     assert digest(p) == RELABELLED_GOLDEN
+
+
+def test_lattice_dump_builds_no_relation(tmp_path, monkeypatch):
+    # A lattice's covers come from the subset encoding, so dump never reads
+    # (and builds) its relation matrix, 16 MB as bool for B12.
+    made = []
+
+    def spec(text):
+        made.append(parse_poset_spec(text))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "parse_poset_spec", spec)
+    out = tmp_path / "b12.poset"
+    assert cli.main(["dump", "boolean:12", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_GOLDEN["boolean:12"]
+    assert "leq" not in vars(made[0])
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_lattice_covers_match_the_matrix_walk(n):
+    p = pd.boolean_lattice(n)
+    dense = pd.Poset(p.n, p.leq, p.labels)
+    assert list(upper_covers(p)) == list(upper_covers(dense))

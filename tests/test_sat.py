@@ -192,7 +192,7 @@ class TestAgainstLoopReference:
 class TestInternalSolver:
     def test_empty_instance(self):
         result = internal_sat_solve(CnfInstance(0, [], VarMap()))
-        assert result.status == "sat" and result.assignment == [False]
+        assert result.status == "sat" and result.assignment.tolist() == [False]
 
     def test_contradictory_units(self):
         cnf = CnfInstance(1, [[1], [-1]], VarMap())
@@ -264,10 +264,10 @@ class TestInternalSolver:
                 assert check_model(clauses, res.assignment)
 
 
-def _load(clauses):
-    """_solver_clauses of clauses, with its renumbered literals mapped back to
+def _load(cnf):
+    """_solver_clauses of cnf, with its renumbered literals mapped back to
     variable ids."""
-    kept, units, used = _solver_clauses(clauses)
+    kept, units, used = _solver_clauses(cnf)
     back = lambda lit: int(used[abs(lit) - 1]) * (1 if lit > 0 else -1)
     return [[back(lit) for lit in c] for c in kept], [back(u) for u in units], used
 
@@ -280,50 +280,59 @@ class TestSolverLoad:
     def test_distinct_clause_counts(self, spec, d, phi, distinct):
         fixed = pd.threshold_at_most_one_zero(d) if phi else None
         cnf = pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
-        kept, units, used = _load(cnf.clauses)
+        kept, units, used = _load(cnf)
         assert len(kept) + len(units) == distinct
         assert min(map(len, kept)) >= 2
         assert used.tolist() == list(range(1, cnf.num_vars + 1))
 
-    def test_permuted_copies_keep_the_first(self):
-        clauses = [[3, 1, 2], [4, -5], [1, 2, 3], [-5, 4], [2, 3, 1], [6, 7], [2]]
-        cnf = CnfInstance(7, clauses, VarMap())
-        kept, units, used = _load(cnf.clauses)
-        assert kept == [[3, 1, 2], [4, -5], [6, 7]]
-        assert units == [2]
-        assert [c[:2] for c in kept] == [[3, 1], [4, -5], [6, 7]]
-        assert used.tolist() == [1, 2, 3, 4, 5, 6, 7]
-
-    def test_wide_permuted_copies_keep_the_first(self):
-        # Rows wider than 8 literals are put in canonical order by np.sort.
-        wide = list(range(1, 11))
-        clauses = [wide, wide[::-1], [1, -3, 2], [-3, 2, 1], [-11, *wide], [*wide, -11]]
-        cnf = CnfInstance(11, clauses, VarMap())
-        kept, units, used = _load(cnf.clauses)
-        assert kept == [wide, [1, -3, 2], [-11, *wide]]
-
     def test_copies_with_repeated_literals(self):
+        # Without a mask each clause is reduced on its own: a repeated
+        # literal is kept once (its first occurrence), and copies stay.
         clauses = [
-            [1, 2, 2], [2, 1],  # the reduced clause comes first
-            [6, 7], [7, 7, 6],  # the plain clause comes first
+            [1, 2, 2], [2, 1],  # a reduced clause and a plain copy of it
+            [6, 7], [7, 7, 6],
             [1, 1, 2, -3], [-3, 2, 1], [2, -3, 1, -3],
             [5, 5], [5],  # a reduced unit and its copy
             [4, -4, 8], [8, 4, -4],  # tautologies
         ]
         cnf = CnfInstance(8, clauses, VarMap())
-        kept, units, used = _load(cnf.clauses)
-        assert kept == [[1, 2], [6, 7], [1, 2, -3]]
-        assert units == [5]
-        assert [c[:2] for c in kept] == [[1, 2], [6, 7], [1, 2]]
+        kept, units, used = _load(cnf)
+        # each run of equal width: its plain rows, then its reduced ones
+        assert kept == [
+            [1, 2], [2, 1], [6, 7], [7, 6], [1, 2, -3], [-3, 2, 1], [2, -3, 1]
+        ]
+        assert units == [5, 5]
         assert used.tolist() == [1, 2, 3, 5, 6, 7]
         # 4 and 8 occur only in tautologies, so 5, 6 and 7 become 4, 5 and 6
-        assert _solver_clauses(cnf.clauses)[:2] == ([[1, 2], [5, 6], [1, 2, -3]], [4])
+        assert _solver_clauses(cnf)[:2] == (
+            [[1, 2], [2, 1], [5, 6], [6, 5], [1, 2, -3], [-3, 2, 1], [2, -3, 1]],
+            [4, 4],
+        )
+
+    def test_marked_copies_are_left_out(self):
+        clauses = [[3, 1, 2], [4, -5], [1, 2, 3], [-5, 4], [2, 3, 1], [6, 7], [2]]
+        copies = np.array([False, False, True, True, True, False, False])
+        kept, units, used = _load(CnfInstance(7, clauses, VarMap(), copies))
+        assert kept == [[3, 1, 2], [4, -5], [6, 7]] and units == [2]
+        assert used.tolist() == [1, 2, 3, 4, 5, 6, 7]
+        # a variable that occurs only in marked rows is not used
+        copies = np.array([False, True, True, True, True, False, False])
+        kept, units, used = _load(CnfInstance(7, clauses, VarMap(), copies))
+        assert kept == [[3, 1, 2], [6, 7]] and used.tolist() == [1, 2, 3, 6, 7]
+
+    @pytest.mark.parametrize(
+        "copies",
+        [np.zeros(2, dtype=bool), np.zeros(4, dtype=bool), np.zeros(3, dtype=int),
+         [False, False, False], np.zeros((3, 1), dtype=bool)],
+    )
+    def test_malformed_mask_rejected(self, copies):
+        with pytest.raises(BadParameter):
+            CnfInstance(3, [[1], [2, 3], [-1]], VarMap(), copies)
 
     def test_matches_a_set_based_reference(self):
-        # Widths up to 14 take both sort paths of the canonical rows: the
-        # compare-exchange network up to 8 literals, np.sort beyond.
+        # Without a mask every clause is loaded on its own: repeats merged,
+        # tautologies dropped, permuted copies kept.
         rng = random.Random(20261019)
-        widths = set()
         for trial in range(200):
             nv = rng.randint(1, 20)
             lit = lambda: rng.choice((1, -1)) * rng.randint(1, nv)
@@ -333,20 +342,16 @@ class TestSolverLoad:
             ]
             copies = [rng.sample(c, len(c)) for c in rng.sample(base, len(base) // 2)]
             clauses = rng.sample(base + copies, len(base) + len(copies))
-            seen, want_kept, want_units = set(), [], []
+            want_kept, want_units = [], []
             for c in clauses:
                 lits = list(dict.fromkeys(c))
-                if frozenset(lits) in seen or any(-lit in lits for lit in lits):
-                    continue
-                seen.add(frozenset(lits))
-                (want_units if len(lits) == 1 else want_kept).append(lits)
-            kept, units, used = _load(CnfInstance(nv, clauses, VarMap()).clauses)
+                if not any(-lit in lits for lit in lits):
+                    (want_units if len(lits) == 1 else want_kept).append(lits)
+            kept, units, used = _load(CnfInstance(nv, clauses, VarMap()))
             assert sorted(kept) == sorted(want_kept), (trial, clauses)
             assert sorted(units) == sorted(u for (u,) in want_units), (trial, clauses)
             want_used = {abs(lit) for c in want_kept + want_units for lit in c}
             assert used.tolist() == sorted(want_used)
-            widths.update(map(len, kept))
-        assert max(widths) > 8
 
     def test_used_variables_across_long_runs(self):
         # Clauses sorted by width form long runs of equal width, as the
@@ -366,12 +371,13 @@ class TestSolverLoad:
             want = {
                 abs(x) for c in clauses if not any(-y in c for y in c) for x in c
             }
-            used = _solver_clauses(CnfInstance(nv + 3, clauses, VarMap()).clauses)[2]
+            used = _solver_clauses(CnfInstance(nv + 3, clauses, VarMap()))[2]
             assert used.tolist() == sorted(want), (trial, clauses)
 
     def test_search_lists_span_the_used_variables(self):
-        # Two variables occur; the model's 2,000,001 slots are the only cost
-        # that grows with the largest id (a traced peak of about 18 MB).
+        # Two variables occur; the model's 2,000,001 bytes and the used mask
+        # are the only costs that grow with the largest id (a traced peak of
+        # about 3 MB).
         cnf = parse_dimacs("p cnf 2000000 2\n1 2000000 0\n-1 0\n")
         tracemalloc.start()
         try:
@@ -381,7 +387,7 @@ class TestSolverLoad:
             tracemalloc.stop()
         assert result.status == "sat" and result.conflicts == 0
         assert not result.assignment[1] and all(result.assignment[2:])
-        assert peak < 32 << 20
+        assert peak < 8 << 20
 
     def test_unconstrained_variables_are_true_in_bounded_memory(self):
         import tracemalloc
@@ -395,7 +401,60 @@ class TestSolverLoad:
             tracemalloc.stop()
         assert result.status == "sat" and result.conflicts == 0
         assert len(result.assignment) == 1_000_001 and all(result.assignment[1:])
-        assert peak < 64 << 20
+        assert result.assignment.dtype == bool
+        assert peak < 4 << 20  # the model's 1 MB; about 1 MB in all
+
+
+def _encoder_cases():
+    """Encoder instances over small families (n from 1 to 9), d 1..4, free
+    and fixed phi, both modes; the phi with phi(1, ..., 1) = 0 gives the
+    reflexive-conflict aux clauses in reflexive mode."""
+    specs = ["chain:1", "chain:2", "antichain:2", "boolean:1", "chain:4",
+             "antichain:3", "boolean:2", "boolean:3", "standard:3", "grid:2x3"]
+    for spec in specs:
+        p = parse_poset_spec(spec)
+        for d in range(1, 5):
+            zero_top = pd.TruthTable(arity=d, bits=np.eye(1, 1 << d, 0, np.uint8)[0])
+            fixed = [pd.and_function(d), pd.threshold_at_most_one_zero(d), zero_top]
+            for phi in [None, *fixed]:
+                for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+                    yield spec, pd.encode_bdim_sat(p, d, fixed_phi=phi, mode=mode)
+
+
+class TestEncoderCopies:
+    def test_mask_marks_exactly_the_repeated_clauses(self):
+        seen_copies = seen_aux = 0
+        for spec, cnf in _encoder_cases():
+            seen, want = set(), []
+            lits, offsets = cnf.clauses.lits.tolist(), cnf.clauses.offsets.tolist()
+            for a, b in zip(offsets[:-1], offsets[1:]):
+                key = frozenset(lits[a:b])
+                want.append(key in seen)
+                seen.add(key)
+            assert cnf.copies.tolist() == want, (spec, cnf.varmap)
+            seen_copies += any(want)
+            seen_aux += bool(cnf.varmap.aux)
+        assert seen_copies > 100 and seen_aux > 10
+
+    @pytest.mark.parametrize(
+        "spec, d, phi, limit, status",
+        [
+            ("boolean:3", 2, None, None, "unsat"),
+            ("boolean:4", 3, None, 300, "unknown"),
+            ("boolean:3", 3, "and", None, "sat"),
+        ],
+    )
+    def test_clearing_the_mask_leaves_the_search(self, spec, d, phi, limit, status):
+        fixed = pd.and_function(d) if phi else None
+        cnf = pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
+        once = internal_sat_solve(cnf, conflict_limit=limit)
+        cnf.copies = np.zeros(len(cnf.clauses), dtype=bool)
+        again = internal_sat_solve(cnf, conflict_limit=limit)
+        assert once.status == status and once.conflicts > 0
+        model = lambda r: None if r.assignment is None else r.assignment.tolist()
+        assert (again.status, again.conflicts, model(again)) == (
+            once.status, once.conflicts, model(once)
+        )
 
 
 class TestDecodeModel:
@@ -470,7 +529,7 @@ class TestDimacsFormats:
     def test_solver_output_parsing(self):
         result = parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2 0\n", 2)
         assert result.status == "sat"
-        assert result.assignment == [False, True, False]
+        assert result.assignment.tolist() == [False, True, False]
         assert parse_solver_output("s UNSATISFIABLE\n", 2).status == "unsat"
         with pytest.raises(UnparseableOutput):
             parse_solver_output("no result here\n", 2)

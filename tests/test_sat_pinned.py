@@ -60,6 +60,12 @@ def test_emitted_bytes_pinned(tmp_path, capsys, args, cnf_sha, varmap_sha):
     assert hashlib.sha256(varmap.read_bytes()).hexdigest() == varmap_sha
 
 
+def _outcome(result):
+    """(status, conflicts, model as a list of bools or None) of a result."""
+    model = result.assignment
+    return result.status, result.conflicts, None if model is None else model.tolist()
+
+
 def _model_mask(assignment):
     """The model as a bit mask over 1-based variable ids, in hex."""
     return hex(sum(1 << v for v in range(1, len(assignment)) if assignment[v]))
@@ -163,9 +169,7 @@ def _assert_same_search(rng, make_cnf, transform):
     for trial, (nv, clauses, varmap) in enumerate(cases):
         once = internal_sat_solve(CnfInstance(nv, clauses, varmap))
         again = internal_sat_solve(CnfInstance(nv, transform(rng, clauses), varmap))
-        assert (again.status, again.conflicts, again.assignment) == (
-            once.status, once.conflicts, once.assignment
-        ), (trial, clauses)
+        assert _outcome(again) == _outcome(once), (trial, clauses)
         seen_conflicts += once.conflicts > 0
     assert seen_conflicts > 25 and once.conflicts == 56
 
@@ -241,7 +245,7 @@ def test_solver_matches_reference_dpll():
     seen_conflicts = 0
     for trial, (nv, clauses, varmap) in enumerate(cases):
         result = internal_sat_solve(CnfInstance(nv, clauses, varmap))
-        got = (result.status, result.conflicts, result.assignment)
-        assert got == _reference_dpll(nv, clauses, varmap), (trial, clauses)
+        want = _reference_dpll(nv, clauses, varmap)
+        assert _outcome(result) == want, (trial, clauses)
         seen_conflicts += result.conflicts > 0
     assert seen_conflicts > 25 and result.conflicts == 56
