@@ -10,8 +10,12 @@ models are re-checked locally before being trusted.
 Variable ids follow a closed form (see VarMap) and clauses live in flat
 integer arrays (see ClauseArray), so encoding, DIMACS export, model checks
 and decoding are array operations rather than per-literal Python work.
-DIMACS export gathers one fixed-width token slot per literal, a run of
-equal-width clauses at a time, so it never indexes individual bytes.
+The encoder writes its int32 literals in place, each order's by
+closed-form arithmetic on order 0's, and allocates nothing else the size
+of the instance.  Model checks, DIMACS export and the solver load work a
+run of equal-width clauses at a time, in slices of rows, so they allocate
+per slice, not per literal; DIMACS export gathers one fixed-width token
+slot per literal, so it never indexes individual bytes.
 
 The encoder marks the clause copies it writes (CnfInstance.copies), and the
 internal solver loads each marked copy once; parsed and hand-built CNFs carry
@@ -112,17 +116,6 @@ class ClauseArray:
         lits = np.fromiter(chain.from_iterable(clauses), np.int32, int(widths.sum()))
         return cls(lits, np.concatenate(([0], np.cumsum(widths))))
 
-    @classmethod
-    def from_blocks(cls, blocks: list[np.ndarray]) -> "ClauseArray":
-        """Concatenate 2-D blocks, one clause per row, in block order."""
-        lits = np.concatenate([b.ravel() for b in blocks]).astype(np.int32)
-        widths = np.concatenate([np.full(len(b), b.shape[1]) for b in blocks])
-        return cls(lits, np.concatenate(([0], np.cumsum(widths))))
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -139,7 +132,10 @@ class ClauseArray:
 @dataclass
 class CnfInstance:
     """A CNF; ``copies[k]`` is True where clause k repeats an earlier clause's
-    literal set.  The encoder marks its copies; by default none is marked."""
+    literal set.  The encoder marks its copies; by default none is marked.
+
+    An empty clause is rejected, found by comparing adjacent offsets with no
+    per-clause width array."""
 
     num_vars: int
     clauses: ClauseArray  # a list of int lists is converted on construction
@@ -149,7 +145,8 @@ class CnfInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.clauses, ClauseArray):
             self.clauses = ClauseArray.from_lists(self.clauses)
-        if (self.clauses.widths == 0).any():
+        offsets = self.clauses.offsets
+        if (offsets[1:] == offsets[:-1]).any():
             raise BadParameter("empty clause at construction")
         if self.copies is None:
             self.copies = np.zeros(len(self.clauses), dtype=bool)
@@ -166,16 +163,13 @@ class SatResult:
     conflicts: int = 0
 
 
-def _before_table(varmap: VarMap) -> np.ndarray:
-    """before[i, x, y]: signed literal of "x before y in order i" (0 when
-    x == y)."""
-    n = varmap.n
-    xs, ys = np.triu_indices(n, 1)
-    ids = varmap.order_ids()
-    before = np.zeros((varmap.d, n, n), dtype=np.int32)
-    before[:, xs, ys] = ids
-    before[:, ys, xs] = -ids
-    return before
+def _shift_to_order(first: np.ndarray, i: int, pairs: int, out: np.ndarray) -> None:
+    """Write to out the literals of order i whose order-0 literals are first:
+    var(i, x, y) = var(0, x, y) + i*C(n,2), so a literal moves away from 0
+    by i*C(n,2) and keeps its sign."""
+    np.sign(first, out=out)
+    out *= i * pairs
+    out += first
 
 
 def encode_bdim_sat(
@@ -195,6 +189,14 @@ def encode_bdim_sat(
     transitivity per order over ordered triples (x, y, z) of distinct
     elements, then linking per ordered pair (x, y) and query tuple t, then
     the reflexive unit.
+
+    Clause counts and widths are known from n, d and phi, so the int32
+    literals and int64 offsets are allocated once and written in place.
+    Literals are closed-form arithmetic: order 0's come from one (n, n)
+    table of signed literals, gathered at int32 cell indices of the distinct
+    triples and pairs, and order i's are order 0's moved by sign * i*C(n,2)
+    (see _shift_to_order).  No per-order table and no stacked block of the
+    whole instance is built.
 
     The copies this order writes are marked in ``copies``: each transitivity
     clause is written once per rotation of (x, y, z), first with x smallest,
@@ -220,56 +222,84 @@ def encode_bdim_sat(
 
     n = p.n
     varmap = VarMap(n=n, d=d, free_phi=fixed_phi is None)
-    before = _before_table(varmap)
-    x, y, z = np.indices((n, n, n)).reshape(3, -1)
+    pairs = varmap.pairs
 
-    # (a) transitivity per order: x before y and y before z force x before z
+    # before[x, y]: order 0's signed literal of "x before y"; since
+    # before[y, x] == -before[x, y], a negated literal is the transposed cell
+    before = np.zeros((n, n), dtype=np.int32)
+    xs, ys = np.triu_indices(n, 1)
+    before[xs, ys] = np.arange(1, pairs + 1)
+    before[ys, xs] = -before[xs, ys]
+
+    # (a) transitivity per order: x before y and y before z force x before z,
+    # over the triples of distinct elements in index order
+    x, y, z = np.ix_(*[np.arange(n, dtype=np.int32)] * 3)
     distinct = (x != y) & (x != z) & (y != z)
-    tx, ty, tz = x[distinct], y[distinct], z[distinct]
-    transitivity = np.stack(
-        [-before[:, tx, ty], -before[:, ty, tz], before[:, tx, tz]], axis=-1
-    ).reshape(-1, 3)
+
+    def cells(a, b):  # flat index of cell (a, b) of before, per triple
+        return np.broadcast_to(a * n + b, distinct.shape)[distinct]
+
+    triples = np.stack([cells(y, x), cells(z, y), cells(x, z)], axis=1)
+    x_not_least = ((x > y) | (x > z))[distinct]
 
     # (b) linking: pair (x, y) with query tuple t must answer leq[x, y].  The
-    # clause lists, for each order i, the literal that contradicts bit i of t.
-    ox, oy = np.indices((n, n)).reshape(2, -1)
-    px, py = ox[ox != oy], oy[ox != oy]
-    tuples = np.arange(1 << d)
-    flip = np.where((tuples[:, None] >> np.arange(d)) & 1, -1, 1)
-    contradict = before[:, px, py].T[:, None, :] * flip  # (pair, t, order)
-    need = p.leq[px, py].astype(bool)
+    # clause lists, for each order i, the literal that contradicts bit i of t,
+    # then the phi literal when phi is free.
+    px, py = np.nonzero(~np.eye(n, dtype=bool))
+    need = p.leq[px, py]
+    tuples = np.arange(1 << d, dtype=np.int32)
+    flip = 1 - 2 * ((tuples[:, None] >> np.arange(d, dtype=np.int32)) & 1)
     if fixed_phi is None:
-        phi_ids = varmap.first_phi + tuples
-        phi_lit = np.where(need[:, None], phi_ids, -phi_ids)
-        linking = np.concatenate([contradict, phi_lit[:, :, None]], axis=2)
-        linking = linking.reshape(-1, d + 1)
-        linking_copies = False  # rows differ in their phi literal
+        written = np.ones((len(px), 1 << d), dtype=bool)
     else:
         bits = fixed_phi.bits.astype(bool)
         written = bits != need[:, None]
-        linking = contradict[written]
         # row (y, x, ~t) is written too, with the same literals
         mirrored = bits[::-1] != p.leq[py, px][:, None]
-        linking_copies = ((px > py)[:, None] & mirrored)[written]
-    blocks = [transitivity, linking]
+    link_pair, link_t = np.nonzero(written)
+    link_width = d + (fixed_phi is None)
 
     # (c) reflexive queries must answer yes
+    units = []
     if mode == REFLEXIVE_INCLUSIVE:
         top = (1 << d) - 1
         if fixed_phi is None:
-            blocks.append(np.array([[varmap.first_phi + top]]))
+            units = [varmap.first_phi + top]
         elif not fixed_phi.value_at(top):
             # Unsatisfiable by construction; encode that explicitly.
             varmap = VarMap(n=n, d=d, aux=("reflexive-conflict",))
-            aux = varmap.num_vars
-            blocks.append(np.array([[aux], [-aux]]))
+            units = [varmap.num_vars, -varmap.num_vars]
 
-    # The mask is built after the clause array, so it is not held at its peak.
-    clauses = ClauseArray.from_blocks(blocks)
-    copies = np.zeros(len(clauses), dtype=bool)
-    copies[: len(transitivity)] = np.tile((tx > ty) | (tx > tz), d)  # x not least
-    copies[len(transitivity) :][: len(linking)] = linking_copies
-    return CnfInstance(varmap.num_vars, clauses, varmap, copies)
+    n_trans, n_link = d * len(triples), len(link_pair)
+    offsets = np.empty(n_trans + n_link + len(units) + 1, dtype=np.int64)
+    offsets[0] = 0
+    offsets[1 : n_trans + 1] = 3
+    offsets[n_trans + 1 : n_trans + n_link + 1] = link_width
+    offsets[n_trans + n_link + 1 :] = 1
+    np.cumsum(offsets, out=offsets)
+    lits = np.empty(offsets[-1], dtype=np.int32)
+    copies = np.zeros(len(offsets) - 1, dtype=bool)
+
+    trans = lits[: 3 * n_trans].reshape(d, len(triples), 3)
+    trans[0] = before.ravel()[triples]
+    for i in range(1, d):
+        _shift_to_order(trans[0], i, pairs, out=trans[i])
+    copies[:n_trans].reshape(d, len(triples))[:] = x_not_least
+
+    link = lits[3 * n_trans : offsets[n_trans + n_link]].reshape(-1, link_width)
+    pair_lits = before[px, py]
+    order_lits = np.empty_like(pair_lits)
+    for i in range(d):
+        _shift_to_order(pair_lits, i, pairs, out=order_lits)
+        np.multiply(order_lits[link_pair], flip[link_t, i], out=link[:, i])
+    if fixed_phi is None:
+        phi_ids = varmap.first_phi + tuples
+        link[:, d] = np.where(need[link_pair], phi_ids[link_t], -phi_ids[link_t])
+    else:
+        copies[n_trans : n_trans + n_link] = ((px > py)[:, None] & mirrored)[written]
+
+    lits[offsets[n_trans + n_link] :] = units
+    return CnfInstance(varmap.num_vars, ClauseArray(lits, offsets), varmap, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +309,25 @@ def encode_bdim_sat(
 def check_model(
     clauses: ClauseArray | list[list[int]], assignment: np.ndarray | list[bool]
 ) -> bool:
-    """True iff the assignment satisfies every clause."""
+    """True iff the assignment satisfies every clause (an empty clause never
+    is).
+
+    Checked one run of equal-width clauses (see _width_runs) at a time, in
+    slices of rows, so the check allocates per slice, not per literal of
+    the instance, and stops at the first slice with a false clause.
+    """
     if not isinstance(clauses, ClauseArray):
         clauses = ClauseArray.from_lists(clauses)
-    if not len(clauses):
-        return True
-    lits = clauses.lits
     value = np.asarray(assignment, dtype=bool)
-    true_lit = value[np.abs(lits)] == (lits > 0)
-    return bool(np.logical_or.reduceat(true_lit, clauses.offsets[:-1]).all())
+    for _, block in _width_runs(clauses):
+        for rows in _row_slices(block):
+            true = value[np.abs(rows)] == (rows > 0)
+            satisfied = np.zeros(len(rows), dtype=bool)
+            for column in true.T:  # faster than true.any(axis=1) on narrow rows
+                satisfied |= column
+            if not satisfied.all():
+                return False
+    return True
 
 
 def _branch_order(varmap: VarMap, used: np.ndarray) -> list[int]:
@@ -327,6 +367,7 @@ def _literal_table(
 
 
 _RUN_WINDOW = 1 << 16  # clauses whose widths are compared at once
+_SLICE_ROWS = 1 << 16  # clauses checked, gathered or written at once
 
 
 def _width_runs(clauses: ClauseArray) -> Iterator[tuple[int, np.ndarray]]:
@@ -349,6 +390,13 @@ def _width_runs(clauses: ClauseArray) -> Iterator[tuple[int, np.ndarray]]:
             yield a, block.reshape(b - a, -1)
 
 
+def _row_slices(block: np.ndarray) -> Iterator[np.ndarray]:
+    """block in slices of at most _SLICE_ROWS rows, so that work on one
+    slice allocates in proportion to the slice, not to the block."""
+    for r0 in range(0, len(block), _SLICE_ROWS):
+        yield block[r0 : r0 + _SLICE_ROWS]
+
+
 def _solver_clauses(
     cnf: CnfInstance,
 ) -> tuple[list[list[int]], list[int], np.ndarray]:
@@ -364,8 +412,8 @@ def _solver_clauses(
     only in tautologies is not used.  One sort of |literals| per run of equal
     width finds the rows with a repeat; they are reduced on a Python path,
     after the run's other rows.  The lists share one int object per literal
-    value, and the first two literals of each list are its watches (see
-    internal_sat_solve).
+    value, gathered a slice of rows at a time, and the first two literals of
+    each list are its watches (see internal_sat_solve).
     """
     top = _largest_id(cnf.clauses.lits)
     used = np.zeros(top + 1, dtype=bool)
@@ -391,11 +439,11 @@ def _solver_clauses(
     kept: list[list[int]] = []
     units: list[int] = []
     for block, reduced in runs:
-        rows = shared[position(block)].tolist()
         if block.shape[1] == 1:  # no repeats in a single literal
-            units.extend(lit for (lit,) in rows)
+            units.extend(shared[position(block[:, 0])].tolist())
             continue
-        kept.extend(rows)
+        for rows in _row_slices(block):
+            kept.extend(shared[position(rows)].tolist())
         for lits in reduced:
             row = shared[position(np.array(lits))].tolist()
             if len(row) == 1:
@@ -556,18 +604,15 @@ def internal_sat_solve(
 # ---------------------------------------------------------------------------
 # DIMACS, sidecar, external solver
 
-_DIMACS_CHUNK = 1 << 16  # clauses per written chunk
-
-
 def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
     """DIMACS text in chunks: the header, then one clause per line.
 
     Each literal maps to a precomputed token ("12 ", "-3 "; literal 0 stands
     for the clause terminator "0\\n") held in a fixed-width slot padded with
-    NUL bytes.  For each run of equal-width clauses, up to _DIMACS_CHUNK rows
-    at a time, one gather of slots over a (rows, width + 1) index matrix
-    whose last column is the terminator gives the chunk; dropping the NULs
-    leaves the text, since no decimal token contains one.
+    NUL bytes.  For each run of equal-width clauses, a slice of rows at a
+    time (see _row_slices), one gather of slots over a (rows, width + 1)
+    index matrix whose last column is the terminator gives the chunk;
+    dropping the NULs leaves the text, since no decimal token contains one.
     """
     yield f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n".encode()
     values, position = _literal_table(cnf.clauses.lits)
@@ -576,8 +621,7 @@ def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
     tokens[end] = b"0\n"
     slots = np.array(tokens)  # dtype S<widest token>: shorter ones NUL-padded
     for _, block in _width_runs(cnf.clauses):
-        for r0 in range(0, len(block), _DIMACS_CHUNK):
-            rows = block[r0 : r0 + _DIMACS_CHUNK]
+        for rows in _row_slices(block):
             tok = np.full((len(rows), rows.shape[1] + 1), end, dtype=np.intp)
             tok[:, :-1] = position(rows)
             yield slots[tok].tobytes().translate(None, b"\0")
@@ -620,7 +664,8 @@ def _parse_int(token: str, error: type[Exception] = ParseError) -> int:
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse a DIMACS CNF document (comments allowed, no varmap recovered).
 
-    Every literal must name a variable in 1..num_vars.
+    The document holds one "p cnf" header, before any clause, and every
+    literal must name a variable in 1..num_vars.
     """
     num_vars = None
     expected_clauses = None
@@ -634,6 +679,8 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad DIMACS header: {line!r}")
+            if num_vars is not None:
+                raise ParseError(f"second DIMACS header: {line!r}")
             num_vars, expected_clauses = map(_parse_int, parts[2:])
             if not 0 <= num_vars <= _MAX_VARS:
                 raise ParseError(f"DIMACS variable count {num_vars} out of range")

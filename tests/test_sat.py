@@ -1,6 +1,7 @@
 """CNF encoding, the internal DPLL solver, external solver handling, and
 model decoding."""
 
+import hashlib
 import itertools
 import random
 import stat
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import posetdim as pd
 from posetdim.errors import (
@@ -22,6 +24,7 @@ from posetdim.errors import (
     ModelCheckFailed,
     ParseError,
     SolverLaunchFailed,
+    ToolkitError,
     UnparseableOutput,
 )
 from posetdim.formats import parse_poset_spec
@@ -179,7 +182,7 @@ class TestAgainstLoopReference:
             nv = rng.randint(1, 5)
             clauses = [
                 [rng.choice((1, -1)) * rng.randint(1, nv)
-                 for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(0, 3))]  # an empty clause is false
                 for _ in range(rng.randint(0, 4))
             ]
             model = [False] + [rng.random() < 0.5 for _ in range(nv)]
@@ -457,6 +460,67 @@ class TestEncoderCopies:
         )
 
 
+def _traced_peak(fn, *args):
+    """(fn(*args), peak traced allocation in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _little_endian_sha(a):
+    return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()
+
+
+# SHA-256 of the little-endian bytes of the B6, d = 5 instance's lits,
+# offsets and copies, recorded from the encoder that stacked per-order
+# blocks and concatenated them.
+B6_D5_ARRAYS = {
+    "free": (
+        "c78b774ec81484ac893b5df30f635e79ff90a8a7505ab5f6cdc9cad92668bd87",
+        "617875bd918734001eed62b24c8e4f45a6eed5b09b89e1af380bd19621bdb0c9",
+        "96c8261fb096681a6d67fb5661771e8ac9b7c573a22050929e8e13f7a793e1e1",
+    ),
+    "threshold": (
+        "b96806d6381438edd01b51e4138606aab540f1256ef43cfd3f147b683fa611f4",
+        "79b3bab0d54ed3dc483b141605dc2af752467582dc1bf7c1f74eeba734638648",
+        "858b28b7c02fd0ea2fe4713ccaa3425060aa1b4805f03bd0fac222b77a0491ec",
+    ),
+}
+
+
+class TestB6Encoding:
+    @pytest.mark.parametrize("phi", sorted(B6_D5_ARRAYS))
+    def test_arrays_pinned(self, phi):
+        fixed = None if phi == "free" else pd.threshold_at_most_one_zero(5)
+        cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5, fixed_phi=fixed)
+        arrays = (cnf.clauses.lits, cnf.clauses.offsets, cnf.copies)
+        assert [a.dtype for a in arrays] == [np.int32, np.int64, bool]
+        assert tuple(map(_little_endian_sha, arrays)) == B6_D5_ARRAYS[phi]
+
+    def test_encoder_peak(self):
+        # The 27.8 MiB of literals and offsets are allocated once; the int32
+        # cell indices of the 249,984 triples and one gather of order 0's
+        # literals (3 MiB each) come on top.
+        _, peak = _traced_peak(pd.encode_bdim_sat, pd.boolean_lattice(6), 5)
+        assert peak < 52 * 2**20
+
+    def test_check_model_peak(self):
+        # A model that satisfies every clause, so that every slice is read.
+        cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5)
+        r = pd.b6_realizer()
+        xs, ys = np.triu_indices(r.n, 1)
+        model = np.zeros(cnf.num_vars + 1, dtype=bool)
+        for ids, order in zip(cnf.varmap.order_ids(), r.orders):
+            model[ids] = order.rank[xs] < order.rank[ys]
+        model[cnf.varmap.first_phi :] = r.phi.bits
+        ok, peak = _traced_peak(check_model, cnf.clauses, model)
+        assert ok and peak < 4 * 2**20
+        model[cnf.varmap.first_phi + 31] = False  # phi(1, ..., 1) must be 1
+        assert not check_model(cnf.clauses, model)
+
+
 class TestDecodeModel:
     def test_hand_built_chain_model(self):
         p = pd.chain(2)
@@ -476,6 +540,60 @@ class TestDecodeModel:
         tampered[1] = not tampered[1]
         with pytest.raises(DecodeInconsistent):
             pd.decode_model(cnf.varmap, tampered, p, 1)
+
+
+def _junk_line(text):
+    """One line of free text that is no "p" header, so nothing is sized by
+    a number in it."""
+    return len(text.splitlines()) <= 1 and not text.strip().startswith("p")
+
+
+@st.composite
+def small_dimacs_texts(draw):
+    """A DIMACS document over at most 8 variables and 12 clauses, often well
+    formed, with literals out of range, empty clauses, wrong clause counts,
+    broken or second headers, comments and junk lines at random."""
+    nv = draw(st.integers(-1, 8))
+    top = max(nv, 1) + draw(st.sampled_from((0, 0, 0, 1)))  # nv + 1 is out of range
+    lit = st.builds(int.__mul__, st.sampled_from((1, -1)), st.integers(1, top))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4), max_size=12))
+    count = len(clauses) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+    lines = [f"p cnf {nv} {count}"]
+    lines += [" ".join(map(str, [*c, 0])) for c in clauses]
+    edits = st.sampled_from((0, 0, 0, 1, 2))  # most documents keep their lines
+    headers = st.builds(
+        "p {} {} {}".format,
+        st.sampled_from(("cnf", "cnf", "dnf")),
+        st.integers(0, 8),
+        st.one_of(st.integers(0, 12), st.just("x")),
+    )
+    junk = st.one_of(st.text(max_size=16), st.sampled_from(("c note", "0", "1 x 0")))
+    for _ in range(min(draw(edits), len(lines))):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(edits)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(headers))
+    for _ in range(draw(edits)):
+        line = draw(junk)
+        if _junk_line(line):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def small_solver_outputs(draw):
+    """Solver output: "s" lines well formed, unknown or broken, "v" lines
+    with literals in and out of range and the odd bad token, comments and
+    junk, in random order."""
+    tags = ["SATISFIABLE"] * 3 + ["UNSATISFIABLE", "UNKNOWN", "UNKNOWN timeout", "sat"]
+    lines = [f"s {tag}" for tag in draw(st.lists(st.sampled_from(tags), max_size=2))]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = draw(st.lists(st.integers(-12, 12).map(str), max_size=6))
+        if draw(st.integers(0, 7)) == 0:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.text(max_size=3)))
+        lines.append(" ".join(["v", *tokens]))
+    junk = st.one_of(st.text(max_size=16), st.just("c note"))
+    lines += draw(st.lists(junk, max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
 
 
 class TestDimacsFormats:
@@ -526,6 +644,47 @@ class TestDimacsFormats:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 1 2\n1 0\n")
 
+    def test_parse_rejects_a_second_header(self):
+        # Literal 5 is checked against the first header; the second must not
+        # shrink num_vars under it.
+        with pytest.raises(ParseError, match="second DIMACS header"):
+            parse_dimacs("p cnf 5 1\n5 0\np cnf 1 1\n")
+        with pytest.raises(ParseError, match="second DIMACS header"):
+            parse_dimacs("p cnf 2 1\np cnf 2 1\n1 0\n")
+
+    @settings(max_examples=300)
+    @given(small_dimacs_texts(), st.integers(0, 511))
+    @example("p cnf 5 1\n5 0\np cnf 1 1\n", 0b100000)
+    def test_small_texts_parse_or_raise_toolkit_errors(self, text, mask):
+        try:
+            cnf = parse_dimacs(text)
+        except ToolkitError:
+            return
+        assert 0 <= cnf.num_vars <= 8
+        again = parse_dimacs(to_dimacs(cnf))
+        assert again.num_vars == cnf.num_vars and again.clauses == cnf.clauses
+        model = [bool(mask >> v & 1) for v in range(cnf.num_vars + 1)]
+        lits, offsets = cnf.clauses.lits.tolist(), cnf.clauses.offsets.tolist()
+        want = all(
+            any(model[abs(lit)] == (lit > 0) for lit in lits[a:b])
+            for a, b in zip(offsets[:-1], offsets[1:])
+        )
+        assert check_model(cnf.clauses, model) == want
+
+    @settings(max_examples=300)
+    @given(small_solver_outputs(), st.integers(0, 8))
+    def test_small_outputs_parse_or_raise_toolkit_errors(self, text, num_vars):
+        try:
+            result = parse_solver_output(text, num_vars)
+        except ToolkitError:
+            return
+        assert result.status in ("sat", "unsat", "unknown")
+        if result.status == "sat":
+            assert result.assignment.dtype == bool
+            assert len(result.assignment) == num_vars + 1
+        else:
+            assert result.assignment is None
+
     def test_solver_output_parsing(self):
         result = parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2 0\n", 2)
         assert result.status == "sat"
@@ -559,9 +718,9 @@ def _random_clauses(rng, top):
 
 
 class TestDimacsWriter:
-    @pytest.mark.parametrize("chunk", [1, 3, pd.sat._DIMACS_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 3, pd.sat._SLICE_ROWS])
     def test_matches_naive_writer(self, monkeypatch, chunk):
-        monkeypatch.setattr(pd.sat, "_DIMACS_CHUNK", chunk)
+        monkeypatch.setattr(pd.sat, "_SLICE_ROWS", chunk)
         rng = np.random.default_rng(20261018)
         # Ids up to 1 << 16 take the dense literal table; up to 2**31 - 1
         # (12-byte tokens such as "-2147483647 ") the sparse one.
