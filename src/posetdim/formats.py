@@ -22,6 +22,7 @@ phi string lists the truth-table bit at every tuple index):
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -61,16 +62,36 @@ def _check_size(n: int) -> None:
         raise ParseError(f"n={n} is outside 1..{MAX_ELEMENTS}")
 
 
+def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+    """The stripped non-empty lines of ``text.splitlines()``, one at a time.
+    The text is split a block of about ``block`` characters at a time, each
+    cut just after a newline, where every line boundary splitlines knows
+    also falls, so no list of every line is built."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + block) + 1 or len(text)
+        for raw in text[start:stop].splitlines():
+            line = raw.strip()
+            if line:
+                yield line
+        start = stop
+
+
 def parse_poset(text: str) -> Poset:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or lines[0] != "poset v1":
+    """Parse a ``poset v1`` document.  The lines are read one at a time, and
+    the ``rel`` endpoints are kept in two int lists that
+    ``from_relation_pairs`` reads once, so no list of lines, no list of
+    pairs and no (n, n) matrix is built."""
+    lines = _lines(text)
+    if next(lines, None) != "poset v1":
         raise ParseError("expected 'poset v1' header")
     n: int | None = None
     labels: list[str] | None = None
     mode: str | None = None
-    pairs: list[tuple[int, int]] = []
+    heads: list[int] = []
+    tails: list[int] = []
     try:
-        for ln in lines[1:]:
+        for ln in lines:
             key, _, rest = ln.partition(" ")
             if key == "n":
                 n = int(rest)
@@ -90,7 +111,8 @@ def parse_poset(text: str) -> Poset:
                 mode = rest
             elif key == "rel":
                 i_text, j_text = rest.split()
-                pairs.append((int(i_text), int(j_text)))
+                heads.append(int(i_text))
+                tails.append(int(j_text))
             else:
                 raise ParseError(f"unknown line {ln!r}")
     except ParseError:
@@ -102,7 +124,7 @@ def parse_poset(text: str) -> Poset:
     if mode is None:
         raise ParseError("missing mode line")
     try:
-        return from_relation_pairs(n, labels, pairs)
+        return from_relation_pairs(n, labels, zip(heads, tails))
     except ToolkitError as exc:
         raise ParseError(f"invalid poset data: {exc}") from exc
 

@@ -1,9 +1,11 @@
 """Finite posets, plus the constructions used throughout the toolkit:
 Boolean lattices, multiset grids, standard examples, products, induced
 subposets and linear extensions.  A poset's relation is a dense bool
-matrix, except for a Boolean lattice, whose relation is read by arithmetic
-on the subset encoding (``x <= y`` iff ``x & y == x``) and whose matrix is
-built only on demand.  A lattice's covers add one element to a subset;
+matrix, except for two kinds whose matrix is built only on demand: a
+Boolean lattice, whose relation is read by arithmetic on the subset
+encoding (``x <= y`` iff ``x & y == x``), and a poset closed from relation
+pairs (so every parsed poset file), which holds packed bit rows, one bit
+per pair.  A lattice's covers add one element to a subset;
 other posets' covers (and the axiom check) come from one greedy walk over
 packed up-sets, with no matrix product.  The block decomposition
 of a Boolean lattice is an index bit permutation.
@@ -23,7 +25,7 @@ implies ``x <= y`` as integers.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,26 +67,39 @@ _INDICES = _freeze(np.arange(MAX_ELEMENTS, dtype=np.uint16))
 
 _BLOCK_CELLS = 1 << 18  # cells per row block when a lattice's matrix is built
 
+#: Shifts that move bit j of a packed byte to bit 0, one plane per j.
+_BIT_SHIFTS = _freeze(np.arange(8, dtype=np.uint8)[:, None])
+
 
 @dataclass(frozen=True, eq=False)
 class Poset:
     """Immutable finite poset on ``0..n-1``.
 
-    ``leq`` is its relation matrix.  A Boolean lattice (``boolean_lattice``)
-    holds none: its relation is read by arithmetic on the subset encoding,
-    and ``leq`` is built on its first read, cached and read-only.
+    ``leq`` is its relation matrix.  Two kinds of poset hold none, and build
+    ``leq`` on its first read, cached and read-only: a Boolean lattice
+    (``boolean_lattice``), whose relation is read by arithmetic on the
+    subset encoding, and a poset from ``from_relation_pairs`` (every parsed
+    poset file), which holds packed bit rows: bit ``y % 8`` of byte
+    ``y // 8`` of row x, least significant first, is ``leq[x, y]``.  The
+    matrix unpacked from them has the bytes the dense closure had.
     """
 
     n: int
     leq: np.ndarray            # (n, n) bool, read-only
     labels: tuple[str, ...]
     _subsets = False  # True on a Boolean lattice: x <= y iff x & y == x
+    _packed = None    # (n, ceil(n/8)) uint8 rows of a closed relation
 
     def __getattr__(self, name: str) -> np.ndarray:
-        # Reached only for an attribute not set: a Boolean lattice's leq.
-        if name != "leq" or not self._subsets:
+        # Reached only for an attribute not set: the leq of a lattice or of
+        # packed rows.
+        if name != "leq" or not (self._subsets or self._packed is not None):
             raise AttributeError(name)
         n = self.n
+        if self._packed is not None:
+            leq = np.unpackbits(self._packed, axis=1, count=n, bitorder="little")
+            object.__setattr__(self, "leq", _freeze(leq.view(bool)))
+            return self.leq
         step = max(1, _BLOCK_CELLS // n)
         leq = np.empty((n, n), dtype=bool)
         spare = np.empty((min(step, n), n), dtype=np.uint16)
@@ -95,16 +110,45 @@ class Poset:
         return self.leq
 
     def _relation(
-        self, rows: slice, cols: slice, out: np.ndarray, spare: np.ndarray
+        self,
+        rows: slice,
+        cols: slice,
+        out: np.ndarray | None = None,
+        spare: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The block ``leq[rows, cols]``: a view of the matrix, or for a
-        Boolean lattice ``x & y == x`` written into ``out`` (bool, the
-        block's shape), with ``spare`` (uint16, same shape) holding x & y."""
+        """The block ``leq[rows, cols]`` of slices with explicit bounds: a
+        view of the matrix; for packed rows, only the block's bytes
+        unpacked; for a Boolean lattice ``x & y == x`` written into ``out``
+        (bool, the block's shape), with ``spare`` (uint16, same shape)
+        holding x & y."""
+        if self._packed is not None:
+            skip = cols.start & 7  # bits of the first byte left of the block
+            block = self._packed[rows, cols.start >> 3 : (cols.stop + 7) >> 3]
+            bits = np.unpackbits(
+                block, axis=1, count=cols.stop - cols.start + skip, bitorder="little"
+            )
+            return bits[:, skip:].view(bool)
         if not self._subsets:
             return self.leq[rows, cols]
         x = _INDICES[rows, None]
-        np.bitwise_and(x, _INDICES[cols], out=spare)
+        spare = np.bitwise_and(x, _INDICES[cols], out=spare)
         return np.equal(spare, x, out=out)
+
+    def _converse(self, rows: slice, cols: slice) -> np.ndarray:
+        """The block ``leq[cols, rows].T``: ``leq[y, x]`` at (x, y), for x
+        in rows and y in cols, contiguous.  No strided pass reads the
+        relation's columns, which costs several times more: a matrix's block
+        is copied out row by row, then transposed in cache; of packed rows
+        only the few bytes of the rows' columns are transposed, then each
+        bit plane is shifted out into its own row."""
+        if self._packed is None:
+            block = np.ascontiguousarray(self._relation(cols, rows))
+            return np.ascontiguousarray(block.T)
+        skip = rows.start & 7
+        block = self._packed[cols, rows.start >> 3 : (rows.stop + 7) >> 3]
+        planes = np.right_shift(np.ascontiguousarray(block.T)[:, None], _BIT_SHIFTS)
+        bits = np.bitwise_and(planes, 1, out=planes).reshape(-1, block.shape[0])
+        return bits[skip : skip + rows.stop - rows.start].view(bool)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -152,6 +196,15 @@ def _make(leq: np.ndarray, labels: list[str] | tuple[str, ...]) -> Poset:
     return Poset(n=leq.shape[0], leq=_freeze(leq), labels=tuple(labels))
 
 
+def _lazy(n: int, labels: list[str], relation: str, value: object) -> Poset:
+    """A poset with no matrix, whose leq is built on its first read from
+    ``relation``: ``"_subsets"`` (True) or ``"_packed"`` (the rows)."""
+    p = object.__new__(Poset)
+    for name, v in (("n", n), ("labels", tuple(labels)), (relation, value)):
+        object.__setattr__(p, name, v)
+    return p
+
+
 def _default_labels(n: int) -> list[str]:
     return [str(i) for i in range(n)]
 
@@ -163,14 +216,19 @@ def _default_labels(n: int) -> list[str]:
 def from_relation_pairs(
     n: int,
     labels: list[str] | None,
-    pairs: list[tuple[int, int]],
+    pairs: Iterable[tuple[int, int]],
 ) -> Poset:
     """Build a poset from relation pairs ``i <= j`` by reflexive-transitive
     closure.
 
     Cover pairs and full relation pairs give the same poset.  A directed
     cycle through two or more distinct elements is rejected rather than
-    quotiented.
+    quotiented.  ``pairs`` is read once, so it may be an iterator.
+
+    Each closure row, the bitset of an element's up-set, is written straight
+    into one (n, ceil(n/8)) uint8 array, which the poset holds as its
+    relation (2 MB at 4096 elements, 8 MB at 8192).  No (n, n) bool matrix
+    is built until ``leq`` is read.
     """
     if n < 1:
         raise BadParameter(f"n must be positive, got {n}")
@@ -180,12 +238,12 @@ def from_relation_pairs(
     if len(labels) != n:
         raise BadParameter("labels must have one entry per element")
 
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]  # repeats are harmless
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={n}")
         if i != j:
-            adj[i].add(j)
+            adj[i].append(j)
 
     # Kahn's algorithm: a leftover node means a directed cycle.
     indeg = [0] * n
@@ -204,21 +262,19 @@ def from_relation_pairs(
     if len(topo) != n:
         raise CycleDetected("relation pairs contain a directed cycle")
 
-    # Descendant bitsets, computed in reverse topological order.
+    # Descendant bitsets, computed in reverse topological order, each
+    # written into its packed row as soon as it is known.
+    nbytes = (n + 7) // 8
+    packed = np.empty((n, nbytes), dtype=np.uint8)
+    rows = packed.reshape(-1).data
     reach = [0] * n
     for v in reversed(topo):
         bits = 1 << v
         for w in adj[v]:
             bits |= reach[w]
         reach[v] = bits
-
-    nbytes = (n + 7) // 8
-    rows = np.frombuffer(
-        b"".join(reach[v].to_bytes(nbytes, "little") for v in range(n)),
-        dtype=np.uint8,
-    ).reshape(n, nbytes)
-    leq = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
-    return _make(leq, labels)
+        rows[v * nbytes : (v + 1) * nbytes] = bits.to_bytes(nbytes, "little")
+    return _lazy(n, labels, "_packed", _freeze(packed))
 
 
 def boolean_lattice(n: int) -> Poset:
@@ -231,10 +287,7 @@ def boolean_lattice(n: int) -> Poset:
     labels = ["{}"]
     for k in range(1, n + 1):
         labels += [f"{{{k}}}"] + [s[:-1] + f",{k}}}" for s in labels[1:]]
-    p = object.__new__(Poset)  # no matrix: leq is built on its first read
-    for name, value in (("n", size), ("labels", tuple(labels)), ("_subsets", True)):
-        object.__setattr__(p, name, value)
-    return p
+    return _lazy(size, labels, "_subsets", True)
 
 
 def grid_coordinates(n: int, m: int) -> np.ndarray:

@@ -158,25 +158,6 @@ def query_tuple(r: BooleanRealizer, x: int, y: int) -> tuple[int, ...]:
     return tuple(int(o.rank[x] <= o.rank[y]) for o in r.orders)
 
 
-def evaluate(r: BooleanRealizer, x: int, y: int) -> bool:
-    """phi applied to the query tuple of (x, y)."""
-    return r.phi(query_tuple(r, x, y))
-
-
-def _index_order_extends(leq: np.ndarray) -> bool:
-    """True when ``leq[x, y]`` only for x <= y: the strict lower triangle is
-    all False.  Read in row blocks of about _CHUNK_CELLS cells, so no (n, n)
-    temporary is built."""
-    n = len(leq)
-    step = min(max(1, _CHUNK_CELLS // n), n)
-    below = np.tri(step, k=-1, dtype=bool)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        if leq[a:b, :a].any() or (leq[a:b, a:b] & below[: b - a, : b - a]).any():
-            return False
-    return True
-
-
 def verify(
     p: Poset,
     r: BooleanRealizer,
@@ -194,24 +175,26 @@ def verify(
     the scan stops at the first chunk with a mismatch, so the reported
     counterexample is the first in ascending (x, then y) order for every
     thread count.  Each thread fills one set of chunk-sized buffers in place
-    and reuses it for every chunk it scans.  A chunk reads the relation as a
-    slice of ``leq``, except on a Boolean lattice, which holds no matrix:
-    there ``x & y == x`` is written into the chunk's buffers that the query
-    no longer needs, so the scan never builds the (n, n) relation.
+    and reuses it for every chunk it scans.  A chunk reads the relation
+    block by block (``Poset._relation``): a slice of ``leq``; the block's
+    bytes of packed rows, unpacked; or on a Boolean lattice ``x & y == x``,
+    written into the chunk's buffers that the query no longer needs.  Both
+    are reflexive by construction, so their diagonal is all True, and the
+    scan never builds the (n, n) matrix of a poset that holds none.
 
-    When index order extends the poset (``leq[y, x]`` is False for y > x, as
-    for every family constructor and by construction for a Boolean lattice,
-    where it is not checked), each unordered pair is looked up once.
-    The orders are total, so for x != y the query of (y, x) is the bitwise
-    complement of the query t of (x, y), and ``both[t] = phi[t] +
-    2 * phi[~t]`` answers both pairs; it must equal ``leq[x, y]``.  Chunk
-    rows [a, b) then scan only the columns y >= a and drop the cells
-    y <= x; in reflexive_inclusive mode their diagonal cells compare
-    ``leq[x, x]`` with phi(1,...,1) instead.  Once a chunk fails, every pair
-    with an element below a has passed, so the full scan from row a, over
-    the same chunks, finds the first counterexample, and it never scans
-    more chunks than a full scan from row 0 would.  Other posets (relabelled
-    files, matrices that are not antisymmetric) take the full scan only.
+    Each unordered pair is looked up once, for every poset.  The orders are
+    total, so for x != y the query of (y, x) is the bitwise complement of
+    the query t of (x, y), and ``both[t] = phi[t] + 2 * phi[~t]`` answers
+    both pairs; it must equal ``leq[x, y] + 2 * leq[y, x]``, whose second
+    term is read from the transposed block (on a lattice it is 0 for y > x
+    and is not read).  Chunk rows [a, b) scan only the columns y >= a and
+    drop the cells y <= x: the pair's cell in the row of its smaller
+    element checks both of its ordered pairs, for any bool matrix, whether
+    or not it is antisymmetric.  In reflexive_inclusive mode the diagonal
+    cells compare ``leq[x, x]`` with phi(1,...,1) instead.  Once a chunk
+    fails, every pair with an element below a has passed, so the full scan
+    from row a, over the same chunks, finds the first counterexample, and it
+    never scans more chunks than a full scan from row 0 would.
 
     A chunk's tuple indices are built a byte at a time: orders 9-16 are
     accumulated (``acc += acc; acc += bits``) in a uint8 buffer that reads
@@ -231,7 +214,9 @@ def verify(
     ranks = np.array([o.rank for o in r.orders], dtype=np.uint16).reshape(r.d, n)
     phi = r.phi.bits.astype(bool)
     both = r.phi.bits + 2 * r.phi.bits[::-1]  # index t ^ (2**d - 1) is t reversed
-    diagonal = np.ones(n, bool) if p._subsets else p.leq.diagonal()
+    # A lattice and packed rows are reflexive by construction.
+    lazy = p._subsets or p._packed is not None
+    diagonal = np.ones(n, bool) if lazy else p.leq.diagonal()
     above = ~np.tri(min(rows_per_chunk, n), dtype=bool)  # y > x inside a chunk
     local = threading.local()
 
@@ -265,8 +250,13 @@ def verify(
         # per-index bounds check of the default "raise".
         if half:
             np.take(both, t, out=acc, mode="clip")
-            leq = p._relation(rows, cols, cells, t)
-            np.not_equal(acc, leq.view(np.uint8), out=cells)
+            leq = p._relation(rows, cols, cells, t).view(np.uint8)
+            if not p._subsets:  # add 2 * leq[y, x], in t's spent bytes
+                code = t.reshape(-1).view(np.uint8)[: h * w].reshape(h, w)
+                lower = p._converse(rows, cols).view(np.uint8)
+                np.add(lower, lower, out=code)
+                leq = np.add(code, leq, out=code)
+            np.not_equal(acc, leq, out=cells)
             np.logical_and(cells[:, :h], above[:h, :h], out=cells[:, :h])
             if mode == REFLEXIVE_INCLUSIVE:  # (x, x) is flat[(x - start) * (w + 1)]
                 np.not_equal(diagonal[rows], phi[-1], out=flat[:: w + 1])
@@ -287,8 +277,7 @@ def verify(
             hits.close()  # cancels the chunks not yet started
             return hit
 
-        extends = p._subsets or _index_order_extends(p.leq)
-        start = first_hit(0, True) if extends else 0
+        start = first_hit(0, True)
         first = None if start is None else first_hit(start, False)
 
     pairs = n * (n - 1)
@@ -363,12 +352,33 @@ def compose_product(
     The first s orders sort pairs by the corresponding P-order, breaking ties
     with ext_q; the remaining t orders do the symmetric thing with ext_p.  The
     combined phi is the conjunction phi_p AND phi_q with the P bits in tuple
-    positions 1..s.  Correctness needs both inputs to verify in
-    reflexive_inclusive mode (in particular phi(all-ones) = 1) and each
-    extension to extend its factor; neither is checked here.
+    positions 1..s.
+
+    Lemma: if r_p and r_q verify in reflexive_inclusive mode and ext_p,
+    ext_q extend P and Q, the result verifies on product(P, Q) in that mode.
+    Proof, for the query of ((p, q), (p', q')).  While p != p' the first s
+    bits are the query of (p, p') in r_p (the tie-break is never reached),
+    and while p = p' they all equal [q <= q' in ext_q]; symmetrically for
+    the last t bits.
+      * p != p' and q != q': phi_p answers [p <= p' in P] and phi_q answers
+        [q <= q' in Q]; their AND is the product order.
+      * Exactly one coordinate equal, say p = p' (the other case is
+        symmetric): if q <= q' in ext_q, the P bits are all ones and
+        phi_p(1...1) = 1, so phi answers phi_q's [q <= q' in Q], which is
+        the product order since p <= p.  Otherwise q' precedes q in ext_q,
+        so q <= q' fails in Q, as ext_q extends Q; phi_q answers 0, and so
+        does the AND, whatever phi_p(0...0) is.
+      * Both equal: every bit is 1 (ranks compare non-strictly), and
+        phi_p(1...1) AND phi_q(1...1) = 1, as reflexivity asks.
+    Only phi(1...1) = 1 on both factors is checked here, in O(1): it is the
+    precondition a realizer that verifies on distinct pairs only can miss.
+    Whether each realizer and extension fits its factor needs the posets,
+    which this function does not take.
     """
     if ext_p.n != r_p.n or ext_q.n != r_q.n:
         raise SizeMismatch("extensions must cover their realizers' ground sets")
+    if not (r_p.phi.bits[-1] and r_q.phi.bits[-1]):
+        raise BadParameter("both factors need phi(1,...,1) = 1 to compose")
     p_n, q_n = r_p.n, r_q.n
     _capped_size(p_n * q_n)
 

@@ -665,7 +665,9 @@ def parse_dimacs(text: str) -> CnfInstance:
     """Parse a DIMACS CNF document (comments allowed, no varmap recovered).
 
     The document holds one "p cnf" header, before any clause, and every
-    literal must name a variable in 1..num_vars.
+    literal must name a variable in 1..num_vars.  An empty clause (a ``0``
+    that ends no literal) is rejected with ParseError: DIMACS allows it,
+    but a CnfInstance holds none.
     """
     num_vars = None
     expected_clauses = None
@@ -690,6 +692,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         for tok in line.split():
             lit = _parse_int(tok)
             if lit == 0:
+                if len(lits) == offsets[-1]:
+                    raise ParseError("empty clause in DIMACS input")
                 offsets.append(len(lits))
             elif abs(lit) > num_vars:
                 raise ParseError(

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import posetdim as pd
 from posetdim.errors import ParseError, ToolkitError, UsageError
 from posetdim.formats import (
+    _lines,
     family_grid_params,
     parse_poset,
     parse_poset_spec,
@@ -179,11 +180,22 @@ class TestPosetRoundTrip:
 
         assert traced_peak(parse) < 16 * 2**20
 
-    def test_parse_b12_peak_is_one_relation_matrix(self):
-        # The 4096-element relation is 16 MB as bool; it is unpacked straight
-        # into bool, with no uint8 matrix and no column-sliced copy beside it.
+    def test_parse_b12_peak_is_packed_rows(self):
+        # The 4096-element relation is 2 MB as packed rows (16 MB as a bool
+        # matrix, which is not built); beside them the up-set ints, the
+        # adjacency lists and the two endpoint lists, but no list of lines
+        # and no list of pairs.
         text = serialize_poset(pd.boolean_lattice(12))
-        assert traced_peak(parse_poset, text) < 36 * 2**20
+        assert traced_peak(parse_poset, text) < 10 * 2**20
+
+    @settings(max_examples=300)
+    @given(
+        st.text(alphabet="ab \t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=40),
+        st.integers(0, 8),
+    )
+    def test_lines_are_the_splitlines_lines(self, text, block):
+        want = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+        assert list(_lines(text, block)) == want
 
     @settings(max_examples=300)
     @given(small_poset_texts())

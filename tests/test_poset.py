@@ -5,6 +5,8 @@ lattices, a cubic-time reachability closure, and a pure-Python simulation of
 the smallest-index-minimal rule.
 """
 
+import hashlib
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -98,6 +100,42 @@ class TestFromRelationPairs:
             n, None, [(int(x), int(y)) for x, y in np.argwhere(p.leq)]
         )
         assert np.array_equal(p.leq, again.leq)
+
+    def test_closure_bytes_pinned(self):
+        # SHA-256 of the leq bytes the dense (n, n) closure built on the
+        # same inputs, before posets held packed rows: the corpus re-closed
+        # from its relation pairs, then 40 relabelled random posets.
+        rng = random.Random(2026)
+        posets = []
+        for _, p in four_element_posets() + five_element_posets():
+            pairs = [(int(x), int(y)) for x, y in np.argwhere(p.leq)]
+            posets.append(pd.from_relation_pairs(p.n, None, pairs))
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            perm = rng.sample(range(n), n)
+            pairs = [
+                (perm[i], perm[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.15
+            ]
+            posets.append(pd.from_relation_pairs(n, None, pairs))
+        digest = hashlib.sha256()
+        for p in posets:
+            digest.update(p.leq.tobytes())
+        assert digest.hexdigest() == (
+            "3e027a9a6bc9a8e4987449152c3ec0908c8568cd5d6a9e6082eefb8f812e132a"
+        )
+
+    def test_matrix_built_once_from_packed_rows(self):
+        p = pd.from_relation_pairs(10, None, [(0, 9), (9, 3), (4, 3)])
+        assert "leq" not in vars(p) and p._packed.shape == (10, 2)
+        assert not p._packed.flags.writeable
+        leq = p.leq  # unpacked on this first read
+        assert p.leq is leq and not leq.flags.writeable
+        assert np.array_equal(leq, closure_oracle(10, [(0, 9), (9, 3), (4, 3)]))
+        with pytest.raises(ValueError):
+            leq[0, 1] = True
 
 
 def cover_oracle(leq):

@@ -66,10 +66,15 @@ def random_realizer(rng, n, max_d=4):
     )
 
 
+def evaluate(r, x, y):
+    """phi applied to the query tuple of (x, y)."""
+    return r.phi(pd.query_tuple(r, x, y))
+
+
 def realized_relation(r):
     """The (n, n) matrix of answers r gives, pair by pair."""
     return np.array(
-        [[pd.evaluate(r, x, y) for y in range(r.n)] for x in range(r.n)], dtype=bool
+        [[evaluate(r, x, y) for y in range(r.n)] for x in range(r.n)], dtype=bool
     )
 
 
@@ -113,19 +118,19 @@ class TestQueryAndEvaluate:
         # the empty set is the least element of every bundled order
         r = pd.b6_realizer()
         assert pd.query_tuple(r, 0, 63) == (1, 1, 1, 1, 1)
-        assert pd.evaluate(r, 0, 63)
+        assert evaluate(r, 0, 63)
 
     def test_pinned_extension_pair(self):
         b2 = pd.boolean_lattice(2)
         exts, _ = pd.linear_extensions(b2)
         r = pd.from_extensions(b2, exts)
         assert pd.query_tuple(r, 1, 2) == (1, 0)
-        assert not pd.evaluate(r, 1, 2)
+        assert not evaluate(r, 1, 2)
 
     def test_canonical_b2_pair(self):
         r = pd.canonical_grid_realizer(2, 2)
-        assert not pd.evaluate(r, 1, 2)
-        assert pd.evaluate(r, 0, 3)
+        assert not evaluate(r, 1, 2)
+        assert evaluate(r, 0, 3)
 
 
 class TestVerify:
@@ -368,7 +373,7 @@ class TestVerify:
             (x, y)
             for a, b in swapped
             for x, y in ((a, b), (b, a))
-            if pd.evaluate(tampered, x, y) != bool(p.leq[x, y])
+            if evaluate(tampered, x, y) != bool(p.leq[x, y])
         )
         assert 2048 <= broken[0][0] < 2304
         assert any(x >= 3072 for x, _ in broken)
@@ -435,25 +440,11 @@ def assert_matches_oracle(p, r):
 
 
 class TestHalfScan:
-    """When index order extends the poset, verify looks each unordered pair
-    {x, y}, x < y, up once, in a table that answers (x, y) and (y, x)
-    together, and rescans from the first failing chunk.  Mismatches are
+    """verify looks each unordered pair {x, y}, x < y, up once, in a table
+    that answers (x, y) and (y, x) together, against leq[x, y] +
+    2 * leq[y, x], and rescans from the first failing chunk.  Mismatches are
     planted where only one half of that lookup, or only the diagonal, sees
     them."""
-
-    def test_index_order_check(self):
-        for p in (
-            pd.boolean_lattice(5),
-            pd.multiset_grid(3, 3),
-            pd.standard_example(6),
-            pd.chain(7),
-        ):
-            assert realizer_module._index_order_extends(p.leq)
-            assert not realizer_module._index_order_extends(p.leq[::-1, ::-1])
-        assert realizer_module._index_order_extends(pd.antichain(3).leq)
-        leq = pd.chain(3).leq.copy()
-        leq[2, 1] = True
-        assert not realizer_module._index_order_extends(leq)
 
     @pytest.mark.parametrize("cells", (1, 7, None))
     def test_agrees_with_oracle_on_index_ordered_and_relabelled(
@@ -574,10 +565,11 @@ class TestHalfScan:
                 full = sorted(a for a, half in calls if not half)
                 assert full[0] == min(planted) // 3 * 3, (planted, calls)
 
-    def test_not_antisymmetric_takes_the_full_scan(self):
+    def test_not_antisymmetric_is_caught_by_the_half_scan(self):
         # leq[1, 2] and leq[2, 1] both hold; the realizer answers (1, 2)
-        # right and (2, 1) wrong.  A half scan would read only (1, 2)'s
-        # cell, where phi[t] + 2 * phi[~t] = 1 + 0 matches leq[1, 2].
+        # right and (2, 1) wrong.  (1, 2)'s cell holds phi[t] + 2 * phi[~t]
+        # = 1 + 0, which matches leq[1, 2] alone but not leq[1, 2] +
+        # 2 * leq[2, 1] = 3.
         leq = pd.chain(4).leq.copy()
         leq[2, 1] = True
         p = as_poset(leq)
@@ -635,6 +627,101 @@ class TestLatticeArithmetic:
                         seen.add((mode, got.ok))
             assert "leq" not in vars(lattice)  # verify never built the matrix
         assert len(seen) == 4  # each mode both passed and failed
+
+
+def relabelled_pairs(rng, n):
+    """Relation pairs of a random poset whose element numbers are shuffled,
+    so index order need not extend it."""
+    perm = rng.sample(range(n), n)
+    return [
+        (perm[i], perm[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.25
+    ]
+
+
+class TestPackedRelation:
+    """A poset from relation pairs holds packed bit rows; verify reads them
+    block by block, the converse block too, and never unpacks the matrix."""
+
+    @pytest.mark.parametrize("cells", (1, 7, None))
+    def test_agrees_with_the_dense_matrix(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", cells)
+        rng = random.Random(f"packed{cells}")
+        seen = set()
+        for trial in range(25):
+            n = rng.randint(1, 20)
+            pairs = relabelled_pairs(rng, n)
+            packed = pd.from_relation_pairs(n, None, pairs)
+            leq = pd.from_relation_pairs(n, None, pairs).leq.copy()
+            dense = pd.Poset(n, leq, packed.labels)
+            r, index = pairwise_realizer(rng, leq)
+            bits = r.phi.bits.copy()
+            side = ("above", "below", "pair", "diagonal", "none")[trial % 5]
+            on_side = sorted(c for c in index if (c[0] < c[1]) == (side == "above"))
+            if side in ("above", "below") and on_side:
+                for x, y in rng.sample(on_side, min(len(on_side), 2)):
+                    bits[index[x, y]] ^= 1
+            elif side == "pair":  # both answers of a comparable pair swapped
+                comparable = sorted(c for c in index if leq[c] and c[0] > c[1])
+                for x, y in rng.sample(comparable, min(len(comparable), 1)):
+                    bits[index[x, y]] ^= 1
+                    bits[index[y, x]] ^= 1
+            elif side == "diagonal":
+                bits[-1] = 0
+            broken = with_phi(r, bits)
+            for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+                expected = verify_oracle(dense, broken, mode)
+                for threads in (1, 2, 3):
+                    got = pd.verify(packed, broken, mode, threads=threads)
+                    assert got == pd.verify(dense, broken, mode, threads=threads)
+                    assert got.counterexample == expected, (mode, threads)
+                seen.add((mode, expected is None))
+            assert "leq" not in vars(packed)
+        assert len(seen) == 4  # each mode both passed and failed
+
+    def test_blocks_match_the_matrix(self):
+        # Every block, at every bit offset into the packed bytes.
+        rng = random.Random(17)
+        for n in (1, 7, 8, 9, 17, 24):
+            pairs = relabelled_pairs(rng, n)
+            p = pd.from_relation_pairs(n, None, pairs)
+            leq = pd.from_relation_pairs(n, None, pairs).leq
+            for a in range(n):
+                for b in range(a + 1, n + 1):
+                    for c in range(0, n, 3):
+                        rows, cols = slice(a, b), slice(c, n)
+                        assert np.array_equal(p._relation(rows, cols), leq[rows, cols])
+                        converse = p._converse(rows, cols)
+                        assert np.array_equal(converse, leq[cols, rows].T)
+            assert "leq" not in vars(p)
+
+    def test_verify_of_a_parsed_file_builds_no_matrix(self):
+        from posetdim.formats import parse_poset, serialize_poset
+
+        rng = random.Random(8)
+        perm = np.array(rng.sample(range(256), 256))
+        lattice = pd.boolean_lattice(8)
+        relabelled = pd.from_relation_pairs(
+            256,
+            None,
+            [
+                (int(perm[x]), int(perm[y]))
+                for x, ys in enumerate(pd.poset.upper_covers(lattice))
+                for y in ys
+            ],
+        )
+        p = parse_poset(serialize_poset(relabelled))
+        r = pd.transport(pd.upper_bound_realizer(8), perm)
+        assert pd.verify(p, r, threads=2).ok
+        tampered = with_phi(r, r.phi.bits ^ (np.arange(1 << r.d) == 5))
+        outcome = pd.verify(p, tampered)
+        assert not outcome.ok
+        expected = verify_oracle(relabelled, tampered, REFLEXIVE_INCLUSIVE)
+        assert outcome.counterexample == expected
+        assert "leq" not in vars(p)
 
 
 @given(
@@ -814,6 +901,91 @@ class TestComposeProduct:
             )
             prod = pd.product(p, q)
             assert pd.verify(prod, composed).ok
+
+
+def small_realizer_corpus():
+    """(poset, realizer) pairs that verify in reflexive_inclusive mode: the
+    AND of a smallest extension family of each four-element poset and of
+    short chains, plus two whose phi is no AND: B_6's bundled realizer and
+    chain:3 with one order twice and phi = OR."""
+    pool = [p for _, p in four_element_posets()] + [pd.chain(k) for k in (1, 2, 3)]
+    corpus = [(p, pd.from_extensions(p, pd.exact_dim(p)[1])) for p in pool]
+    corpus.append((pd.boolean_lattice(6), pd.b6_realizer()))
+    index_order = pd.LinearOrder(rank=np.arange(3))
+    either = pd.TruthTable(arity=2, bits=np.array([0, 1, 1, 1], np.uint8))
+    corpus.append((pd.chain(3), pd.BooleanRealizer(3, (index_order,) * 2, either)))
+    return corpus
+
+
+class TestComposeLemma:
+    """compose_product's lemma: factors that verify in reflexive_inclusive
+    mode, with linear extensions of their posets, compose to a realizer of
+    the product.  With B_6's bundled realizer and the (r, 2) grid realizers
+    as the base cases, it shows by induction on k that
+    upper_bound_realizer(6k + r) realizes B_(6k+r) for every k and r, not
+    only up to the 8192-element cap that verify reaches."""
+
+    def test_every_pair_of_corpus_factors(self):
+        corpus = small_realizer_corpus()
+        assert any(r.phi != pd.and_function(r.d) for _, r in corpus if r.d)
+        for p, r in corpus:
+            assert pd.verify(p, r).ok
+        for p, r_p in corpus:
+            for q, r_q in corpus:
+                composed = pd.compose_product(
+                    r_p, r_q, pd.some_linear_extension(p), pd.some_linear_extension(q)
+                )
+                assert pd.verify(pd.product(p, q), composed).ok
+
+    def test_phi_all_ones_zero_is_caught(self):
+        # chain:2 realized on distinct pairs by its order reversed and
+        # phi = NOT, which answers 0 on the diagonal's all-ones tuple.
+        c2 = pd.chain(2)
+        bad = pd.BooleanRealizer(
+            n=2,
+            orders=(pd.LinearOrder.from_sequence([1, 0]),),
+            phi=pd.TruthTable(arity=1, bits=np.array([1, 0], np.uint8)),
+        )
+        assert pd.verify(c2, bad, DISTINCT_ONLY).ok and not pd.verify(c2, bad).ok
+        good = pd.canonical_grid_realizer(1, 2)
+        ext = pd.some_linear_extension(c2)
+        for left, right in ((bad, good), (good, bad)):
+            with pytest.raises(BadParameter, match="phi"):
+                pd.compose_product(left, right, ext, ext)
+        # Built without the check: compose_product's orders do not read phi.
+        ones = with_phi(bad, np.array([1, 1], np.uint8))
+        composed = pd.compose_product(ones, good, ext, ext)
+        unchecked = with_phi(composed, np.kron(good.phi.bits, bad.phi.bits))
+        prod = pd.product(c2, c2)
+        for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+            outcome = pd.verify(prod, unchecked, mode)
+            assert not outcome.ok
+            assert outcome.counterexample == verify_oracle(prod, unchecked, mode)
+
+    def test_base_cases_verify(self):
+        assert pd.verify(pd.boolean_lattice(6), pd.b6_realizer()).ok
+        for r in range(1, 6):
+            grid = pd.canonical_grid_realizer(r, 2)
+            assert grid.d == r
+            assert pd.verify(pd.boolean_lattice(r), grid).ok
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_block_decomposition_is_an_order_isomorphism(self, n):
+        lattice = pd.boolean_lattice(n).leq
+        for cuts in range(1 << (n - 1)):  # every composition of n into blocks
+            blocks, size = [], 1
+            for i in range(n - 1):
+                if cuts >> i & 1:
+                    blocks.append(size)
+                    size = 0
+                size += 1
+            blocks.append(size)
+            target = pd.boolean_lattice(blocks[0])
+            for b in blocks[1:]:
+                target = pd.product(target, pd.boolean_lattice(b))
+            f = pd.block_decomposition_iso(n, blocks)
+            assert np.array_equal(np.sort(f), np.arange(1 << n))
+            assert np.array_equal(lattice, target.leq[np.ix_(f, f)]), blocks
 
 
 class TestTransport:

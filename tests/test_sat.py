@@ -625,6 +625,11 @@ class TestDimacsFormats:
         cnf = CnfInstance(65536, [[65536]], VarMap())
         assert to_dimacs(cnf) == "p cnf 65536 1\n65536 0\n"
 
+    @pytest.mark.parametrize("body", ["1 0\n0\n", "0\n1 0\n", "1 0 0\n"])
+    def test_parse_rejects_an_empty_clause(self, body):
+        with pytest.raises(ParseError, match="empty clause"):
+            parse_dimacs("p cnf 1 2\n" + body)
+
     @pytest.mark.parametrize("body", ["1 5 0\n", "5 1 0\n", "-1 -3 0\n"])
     def test_parse_rejects_out_of_range_literal(self, body):
         with pytest.raises(ParseError, match="out of range"):
