@@ -1,10 +1,11 @@
 """Counting lower bounds for Boolean dimension.
 
-The machinery: a distinguishing set D, per-element signatures counting the
-D-members strictly below each element in every order, and the capacity
-inequality (|D|+1)**d >= |P| that any realizer must satisfy.  All threshold
-decisions are made with exact integer power comparisons; floating-point
-values are reported for display only.
+The machinery: per-element signatures counting the members of a set D
+strictly below each element in every order, and the counting inequality
+(|D|+1)**d >= |P| that any realizer must satisfy when D distinguishes P,
+specialised to grids and Boolean lattices, where D is the singletons.  All
+threshold decisions are made with exact integer power comparisons;
+floating-point values are reported for display only.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, IndexOutOfRange, NotDistinguishing, SizeMismatch
-from .poset import LinearOrder, Poset
+from .errors import BadParameter, IndexOutOfRange, SizeMismatch
+from .poset import LinearOrder
 
 
 @dataclass(frozen=True)
@@ -25,12 +26,6 @@ class BoundReport:
     raw: float          # natural-log ratio; base-invariant
     integer_bound: int  # smallest d consistent with the bound, decided exactly
     formula: str        # provenance tag
-
-
-@dataclass(frozen=True)
-class DistinguishingCheck:
-    ok: bool
-    failing_pair: tuple[int, int] | None = None
 
 
 def singletons_of_grid(n: int, m: int) -> list[int]:
@@ -59,27 +54,6 @@ def _first_collision(rows: np.ndarray) -> tuple[int, int] | None:
     return best
 
 
-def is_distinguishing(p: Poset, d_set: list[int]) -> DistinguishingCheck:
-    """Check that every pair of distinct elements relates differently to some
-    member of the set (Equal counts as a relation, so members distinguish any
-    pair containing them)."""
-    members = sorted(set(d_set))
-    for z in members:
-        if not 0 <= z < p.n:
-            raise IndexOutOfRange(f"index {z} not in 0..{p.n - 1}")
-    if not members:
-        if p.n <= 1:
-            return DistinguishingCheck(ok=True)
-        return DistinguishingCheck(ok=False, failing_pair=(0, 1))
-    sel = np.asarray(members)
-    # relation code of (z, x): 3 equal, 1 less, 2 greater, 0 incomparable
-    code = p.leq[sel, :].astype(np.uint8) + 2 * p.leq[:, sel].T.astype(np.uint8)
-    pair = _first_collision(code.T)
-    if pair is None:
-        return DistinguishingCheck(ok=True)
-    return DistinguishingCheck(ok=False, failing_pair=pair)
-
-
 def signature_map(orders: list[LinearOrder], d_set: list[int]) -> np.ndarray:
     """(n, d) matrix of signatures: entry (a, i) counts the members of the
     set ranked strictly below element a in order i."""
@@ -102,13 +76,6 @@ def signature_map(orders: list[LinearOrder], d_set: list[int]) -> np.ndarray:
 def signature_collision(sig: np.ndarray) -> tuple[int, int] | None:
     """First pair of elements sharing a signature, or None if all distinct."""
     return _first_collision(sig)
-
-
-def capacity_ok(poset_size: int, d_size: int, d: int) -> bool:
-    """Exact check of the counting inequality (|D|+1)**d >= |P|."""
-    if poset_size < 0 or d_size < 0 or d < 0:
-        raise BadParameter("counts must be nonnegative")
-    return (d_size + 1) ** d >= poset_size
 
 
 def _smallest_power_bound(base: int, size: int) -> int:
@@ -144,23 +111,6 @@ def lat_lower_bound(n: int) -> BoundReport:
     report = mn_lower_bound(n, 2)
     return BoundReport(raw=report.raw, integer_bound=report.integer_bound,
                        formula=f"lat({n})")
-
-
-def distinguishing_lower_bound(p: Poset, d_set: list[int]) -> BoundReport:
-    """Smallest d with (|D|+1)**d >= |P|, valid whenever D distinguishes P."""
-    check = is_distinguishing(p, d_set)
-    if not check.ok:
-        raise NotDistinguishing(
-            f"set does not distinguish elements {check.failing_pair}"
-        )
-    members = sorted(set(d_set))
-    base = len(members) + 1
-    raw = 0.0 if p.n == 1 else math.log(p.n) / math.log(base)
-    return BoundReport(
-        raw=raw,
-        integer_bound=_smallest_power_bound(base, p.n),
-        formula=f"dist({len(members)})",
-    )
 
 
 def min_multiplicity_for_target(n: int, target: int) -> int:

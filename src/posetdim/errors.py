@@ -41,10 +41,6 @@ class NotAnExtension(ToolkitError):
     """A linear order fails to extend the poset relation."""
 
 
-class NotDistinguishing(ToolkitError):
-    """The given set does not distinguish every pair of elements."""
-
-
 class GuardExceeded(ToolkitError):
     """A brute-force guard (element count, extension count, arity) tripped."""
 

@@ -25,6 +25,7 @@ implies ``x <= y`` as integers.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -240,6 +241,7 @@ def from_relation_pairs(
 
     adj: list[list[int]] = [[] for _ in range(n)]  # repeats are harmless
     for i, j in pairs:
+        i, j = operator.index(i), operator.index(j)  # numpy ints too; no floats
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={n}")
         if i != j:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -171,30 +170,33 @@ def verify(
     exactly the requirement phi(1,...,1) = 1; distinct_only skips it.
 
     Row chunks of about ``_CHUNK_CELLS`` pairs are scanned on
-    ``max(1, threads)`` worker threads and their results read in row order;
-    the scan stops at the first chunk with a mismatch, so the reported
-    counterexample is the first in ascending (x, then y) order for every
-    thread count.  Each thread fills one set of chunk-sized buffers in place
-    and reuses it for every chunk it scans.  A chunk reads the relation
-    block by block (``Poset._relation``): a slice of ``leq``; the block's
-    bytes of packed rows, unpacked; or on a Boolean lattice ``x & y == x``,
-    written into the chunk's buffers that the query no longer needs.  Both
-    are reflexive by construction, so their diagonal is all True, and the
-    scan never builds the (n, n) matrix of a poset that holds none.
+    ``max(1, threads)`` worker threads.  Each thread fills one set of
+    chunk-sized buffers in place and reuses it for every chunk it scans.  A
+    chunk reads the relation block by block (``Poset._relation``): a slice
+    of ``leq``; the block's bytes of packed rows, unpacked; or on a Boolean
+    lattice ``x & y == x``, written into the chunk's buffers that the query
+    no longer needs.  Both are reflexive by construction, so their diagonal
+    is all True, and the scan never builds the (n, n) matrix of a poset
+    that holds none.
 
     Each unordered pair is looked up once, for every poset.  The orders are
     total, so for x != y the query of (y, x) is the bitwise complement of
     the query t of (x, y), and ``both[t] = phi[t] + 2 * phi[~t]`` answers
-    both pairs; it must equal ``leq[x, y] + 2 * leq[y, x]``, whose second
-    term is read from the transposed block (on a lattice it is 0 for y > x
-    and is not read).  Chunk rows [a, b) scan only the columns y >= a and
-    drop the cells y <= x: the pair's cell in the row of its smaller
-    element checks both of its ordered pairs, for any bool matrix, whether
-    or not it is antisymmetric.  In reflexive_inclusive mode the diagonal
-    cells compare ``leq[x, x]`` with phi(1,...,1) instead.  Once a chunk
-    fails, every pair with an element below a has passed, so the full scan
-    from row a, over the same chunks, finds the first counterexample, and it
-    never scans more chunks than a full scan from row 0 would.
+    both pairs; ``wrong = both[t] ^ code`` with ``code = leq[x, y] + 2 *
+    leq[y, x]``, whose second term is read from the transposed block (on a
+    lattice it is 0 for y > x and is not read).  Bit 0 of ``wrong`` marks
+    (x, y), flat index x * n + y, and bit 1 marks (y, x), flat index
+    y * n + x.  Chunk rows [a, b) scan only the columns y >= a and drop the
+    cells y <= x: the pair's cell in the row of its smaller element checks
+    both of its ordered pairs, for any bool matrix, whether or not it is
+    antisymmetric.  In reflexive_inclusive mode the diagonal cells compare
+    ``leq[x, x]`` with phi(1,...,1) instead, and mark x * n + x.
+
+    A chunk reports the least flat index it marks.  Every index a chunk
+    from row a marks is at least a * n, so the chunks' results, read in row
+    order, stop at the first chunk that starts past the least index so far:
+    the counterexample is the first wrong ordered pair in ascending (x, then
+    y) order for every thread count.
 
     A chunk's tuple indices are built a byte at a time: orders 9-16 are
     accumulated (``acc += acc; acc += bits``) in a uint8 buffer that reads
@@ -212,17 +214,17 @@ def verify(
     # uint16 holds every rank (n <= MAX_ELEMENTS = 8192) and every tuple
     # index (d <= MAX_ARITY = 16); uint8 holds eight orders' bits.
     ranks = np.array([o.rank for o in r.orders], dtype=np.uint16).reshape(r.d, n)
-    phi = r.phi.bits.astype(bool)
     both = r.phi.bits + 2 * r.phi.bits[::-1]  # index t ^ (2**d - 1) is t reversed
+    top = bool(r.phi.bits[-1])  # phi(1,...,1), the answer on the diagonal
     # A lattice and packed rows are reflexive by construction.
     lazy = p._subsets or p._packed is not None
     diagonal = np.ones(n, bool) if lazy else p.leq.diagonal()
     above = ~np.tri(min(rows_per_chunk, n), dtype=bool)  # y > x inside a chunk
     local = threading.local()
 
-    def scan(start: int, half: bool) -> int | None:
-        """The flat index x * n + y of the chunk's first mismatch; for the
-        half scan, start if any cell mismatches; None if none does."""
+    def scan(start: int) -> int | None:
+        """The least flat index of a wrong ordered pair marked in the chunk
+        of rows from start; None if the chunk marks none."""
         if not hasattr(local, "buffers"):
             shape = (min(rows_per_chunk, n), n)
             local.buffers = (
@@ -230,11 +232,10 @@ def verify(
                 np.empty(shape, np.uint8),
                 np.empty(shape, np.uint16),
             )
-        rows = slice(start, min(start + rows_per_chunk, n))
-        cols = slice(start if half else 0, n)
-        h, w = rows.stop - start, n - cols.start
+        rows, cols = slice(start, min(start + rows_per_chunk, n)), slice(start, n)
+        h, w = rows.stop - start, n - start
         cells, acc, t = (b.reshape(-1)[: h * w].reshape(h, w) for b in local.buffers)
-        bits, flat = cells.view(np.uint8), cells.reshape(-1)
+        bits = cells.view(np.uint8)
 
         def accumulate(block: np.ndarray) -> np.ndarray:
             acc.fill(0)
@@ -248,37 +249,35 @@ def verify(
         np.bitwise_or(t, accumulate(ranks[:8]), out=t)
         # Every index is below 2**d, so "clip" never fires and spares the
         # per-index bounds check of the default "raise".
-        if half:
-            np.take(both, t, out=acc, mode="clip")
-            leq = p._relation(rows, cols, cells, t).view(np.uint8)
-            if not p._subsets:  # add 2 * leq[y, x], in t's spent bytes
-                code = t.reshape(-1).view(np.uint8)[: h * w].reshape(h, w)
-                lower = p._converse(rows, cols).view(np.uint8)
-                np.add(lower, lower, out=code)
-                leq = np.add(code, leq, out=code)
-            np.not_equal(acc, leq, out=cells)
-            np.logical_and(cells[:, :h], above[:h, :h], out=cells[:, :h])
-            if mode == REFLEXIVE_INCLUSIVE:  # (x, x) is flat[(x - start) * (w + 1)]
-                np.not_equal(diagonal[rows], phi[-1], out=flat[:: w + 1])
-            return start if flat.any() else None
-        np.take(phi, t, out=cells, mode="clip")
-        leq = p._relation(rows, cols, acc.view(bool), t)
-        np.not_equal(cells, leq, out=cells)  # now True at mismatches
-        if mode == DISTINCT_ONLY:
-            flat[start :: n + 1] = False  # cells (x, x) of rows x in the chunk
-        k = int(flat.argmax())
-        return start * n + k if flat[k] else None
+        wrong = np.take(both, t, out=acc, mode="clip")
+        code = p._relation(rows, cols, cells, t).view(np.uint8)
+        if not p._subsets:  # add 2 * leq[y, x], in t's spent bytes
+            spent = t.reshape(-1).view(np.uint8)[: h * w].reshape(h, w)
+            lower = p._converse(rows, cols).view(np.uint8)
+            np.add(lower, lower, out=spent)
+            code = np.add(spent, code, out=spent)
+        np.bitwise_xor(wrong, code, out=wrong)
+        np.multiply(wrong[:, :h], above[:h, :h], out=wrong[:, :h])
+        if mode == REFLEXIVE_INCLUSIVE:  # (x, x) is at flat (x - start) * (w + 1)
+            np.not_equal(diagonal[rows], top, out=wrong.reshape(-1)[:: w + 1])
+        if wrong.max() == 0:  # a uint8 max runs several times faster than any()
+            return None
+        i, j = np.nonzero(wrong)
+        x, y = i + start, j + start
+        # Where both bits are set, x * n + y <= y * n + x, as x <= y.
+        return int(np.where(wrong[i, j] & 1, x * n + y, y * n + x).min())
 
+    starts = range(0, n, rows_per_chunk)
+    first = None
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-
-        def first_hit(start: int, half: bool) -> int | None:
-            hits = pool.map(scan, range(start, n, rows_per_chunk), repeat(half))
-            hit = next((hit for hit in hits if hit is not None), None)
-            hits.close()  # cancels the chunks not yet started
-            return hit
-
-        start = first_hit(0, True)
-        first = None if start is None else first_hit(start, False)
+        hits = pool.map(scan, starts)
+        for start in starts:
+            if first is not None and start * n > first:
+                break
+            hit = next(hits)
+            if hit is not None and (first is None or hit < first):
+                first = hit
+        hits.close()  # cancels the chunks not yet started
 
     pairs = n * (n - 1)
     if first is None:

@@ -8,7 +8,6 @@ bitmasks, which makes the class checks a handful of big-integer operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -27,19 +26,6 @@ MAX_DIM_ELEMENTS = 10
 MAX_DIM_EXTENSIONS = 2000
 MAX_BDIM_ELEMENTS = 5
 MAX_BDIM_D = 3
-
-
-@dataclass(frozen=True)
-class Inconsistent:
-    """Two ordered pairs sharing a query tuple but needing different answers.
-
-    pair_a is the first pair that established the class answer ((0, 0) when
-    the answer was forced by the reflexive requirement), pair_b the first
-    pair conflicting with it.
-    """
-
-    pair_a: tuple[int, int]
-    pair_b: tuple[int, int]
 
 
 def _before_mask(rank: np.ndarray, n: int) -> int:
@@ -83,47 +69,6 @@ def _consistent_phi(
         elif req1:
             bits[t] = 1
     return bits
-
-
-def _first_pair_bit(mask: int, n: int) -> tuple[int, int]:
-    k = (mask & -mask).bit_length() - 1
-    return divmod(k, n)
-
-
-def phi_consistent(
-    p: Poset, orders: list[LinearOrder], mode: str = REFLEXIVE_INCLUSIVE
-) -> TruthTable | Inconsistent:
-    """Decide whether some phi turns the given orders into a realizer of p.
-
-    Ordered pairs are grouped by query tuple; each class must need a uniform
-    answer.  Unconstrained tuples default to 0, and in reflexive_inclusive
-    mode the all-ones tuple is additionally required to be 1.
-    """
-    _check_mode(mode)
-    n = p.n
-    d = len(orders)
-    reflexive = mode == REFLEXIVE_INCLUSIVE
-    masks = tuple(_before_mask(o.rank, n) for o in orders)
-    answers, universe = _leq_masks(p)
-    bits = _consistent_phi(masks, answers, universe, d, reflexive)
-    if bits is not None:
-        return TruthTable(arity=d, bits=np.array(bits, dtype=np.uint8))
-
-    # Reconstruct the first conflicting class for the report.
-    for t in range(1 << d):
-        cls = universe
-        for i in range(d):
-            cls &= masks[i] if (t >> i) & 1 else ~masks[i]
-        req1, req0 = cls & answers, cls & ~answers
-        if t == (1 << d) - 1 and reflexive and req0:
-            # The all-ones answer is forced to 1 by the diagonal.
-            return Inconsistent(pair_a=(0, 0), pair_b=_first_pair_bit(req0, n))
-        if req1 and req0:
-            lowest = cls & -cls
-            a = _first_pair_bit(cls, n)
-            b = _first_pair_bit(req0 if lowest & req1 else req1, n)
-            return Inconsistent(pair_a=a, pair_b=b)
-    raise AssertionError("inconsistency vanished on second pass")
 
 
 def exact_dim(

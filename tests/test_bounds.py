@@ -1,11 +1,12 @@
-"""Signatures, distinguishing sets, and the exact integer lower bounds."""
+"""Signatures, grid singletons, and the exact integer lower bounds."""
 
 import math
 
+import numpy as np
 import pytest
 
 import posetdim as pd
-from posetdim.errors import BadParameter, NotDistinguishing
+from posetdim.errors import BadParameter
 
 
 class TestSingletons:
@@ -25,32 +26,19 @@ class TestSingletons:
         assert pd.singletons_of_grid(6, 2) == [1, 2, 4, 8, 16, 32]
 
 
+def distinguishes(p, members):
+    """Whether every two distinct elements relate differently (equal, below,
+    above or incomparable) to some member of the set."""
+    code = p.leq[members, :].astype(np.uint8) + 2 * p.leq[:, members].T
+    return len({column.tobytes() for column in code.T}) == p.n
+
+
 class TestIsDistinguishing:
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (6, 2)])
     def test_grid_singletons_distinguish(self, n, m):
         grid = pd.multiset_grid(n, m)
-        assert pd.is_distinguishing(grid, pd.singletons_of_grid(n, m)).ok
-
-    def test_empty_set_fails(self):
-        check = pd.is_distinguishing(pd.antichain(3), [])
-        assert not check.ok and check.failing_pair == (0, 1)
-
-    def test_empty_set_on_point(self):
-        assert pd.is_distinguishing(pd.chain(1), []).ok
-
-    def test_full_ground_set(self):
-        for p in (pd.antichain(4), pd.chain(4), pd.standard_example(3)):
-            assert pd.is_distinguishing(p, list(range(p.n))).ok
-
-    def test_chain_bottom_fails(self):
-        check = pd.is_distinguishing(pd.chain(5), [0])
-        assert not check.ok and check.failing_pair == (1, 2)
-
-    def test_first_failing_pair_is_scan_order(self):
-        # elements 0 and 3 collide, and so do 1 and 2; (0, 3) comes first
-        p = pd.antichain(4)
-        check = pd.is_distinguishing(p, [])
-        assert check.failing_pair == (0, 1)
+        assert distinguishes(grid, pd.singletons_of_grid(n, m))
+        assert not distinguishes(grid, [])
 
 
 class TestSignatureMap:
@@ -75,21 +63,6 @@ class TestSignatureMap:
         p = pd.boolean_lattice(2)
         sig = pd.signature_map([pd.some_linear_extension(p)], [1, 2])
         assert pd.signature_collision(sig) is not None
-
-
-class TestCapacity:
-    def test_paper_scale_case(self):
-        assert pd.capacity_ok(64, 6, 5)  # 7**5 = 16807 >= 64
-
-    def test_too_small(self):
-        assert not pd.capacity_ok(9, 1, 3)  # 2**3 = 8 < 9
-
-    def test_trivial_size(self):
-        assert pd.capacity_ok(1, 0, 0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(BadParameter):
-            pd.capacity_ok(-1, 2, 2)
 
 
 class TestMnLowerBound:
@@ -152,27 +125,8 @@ class TestLatLowerBound:
 
     def test_consistent_with_upper_bound(self):
         for n in range(2, 13):
-            lower = pd.distinguishing_lower_bound(
-                pd.boolean_lattice(n), pd.singletons_of_grid(n, 2)
-            )
-            assert lower.integer_bound <= pd.upper_bound_realizer(n).d
-
-
-class TestDistinguishingLowerBound:
-    def test_b6_singletons(self):
-        report = pd.distinguishing_lower_bound(
-            pd.boolean_lattice(6), [1, 2, 4, 8, 16, 32]
-        )
-        assert report.integer_bound == 3
-
-    def test_full_ground_set(self):
-        for p in (pd.antichain(2), pd.chain(5), pd.boolean_lattice(3)):
-            report = pd.distinguishing_lower_bound(p, list(range(p.n)))
-            assert report.integer_bound == 1
-
-    def test_not_distinguishing(self):
-        with pytest.raises(NotDistinguishing):
-            pd.distinguishing_lower_bound(pd.chain(5), [0])
+            lower = pd.lat_lower_bound(n).integer_bound
+            assert lower <= pd.upper_bound_realizer(n).d
 
 
 class TestMinMultiplicity:

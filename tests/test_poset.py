@@ -85,6 +85,21 @@ class TestFromRelationPairs:
         with pytest.raises(IndexOutOfRange):
             pd.from_relation_pairs(2, None, [(0, 5)])
 
+    def test_numpy_integer_endpoints(self):
+        # 1 << v with a numpy v stays a numpy scalar, which has no to_bytes.
+        perm = np.random.default_rng(0).permutation(70)
+        pairs = [(perm[i], perm[i + 1]) for i in range(0, 68, 2)]
+        as_ints = [(int(x), int(y)) for x, y in pairs]
+        assert isinstance(pairs[0][0], np.integer)
+        assert np.array_equal(
+            pd.from_relation_pairs(70, None, pairs).leq,
+            pd.from_relation_pairs(70, None, as_ints).leq,
+        )
+
+    def test_float_endpoint_rejected(self):
+        with pytest.raises(TypeError):
+            pd.from_relation_pairs(2, None, [(0.0, 1)])
+
     @given(acyclic_pairs)
     def test_closure_matches_oracle(self, case):
         n, pairs = case

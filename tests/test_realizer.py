@@ -442,9 +442,9 @@ def assert_matches_oracle(p, r):
 class TestHalfScan:
     """verify looks each unordered pair {x, y}, x < y, up once, in a table
     that answers (x, y) and (y, x) together, against leq[x, y] +
-    2 * leq[y, x], and rescans from the first failing chunk.  Mismatches are
-    planted where only one half of that lookup, or only the diagonal, sees
-    them."""
+    2 * leq[y, x]; each chunk reports its least wrong ordered pair.
+    Mismatches are planted where only one half of that lookup, or only the
+    diagonal, sees them."""
 
     @pytest.mark.parametrize("cells", (1, 7, None))
     def test_agrees_with_oracle_on_index_ordered_and_relabelled(
@@ -507,9 +507,8 @@ class TestHalfScan:
 
     def test_planted_across_chunk_boundaries(self, monkeypatch):
         # Three rows per chunk: [0, 3), [3, 6), [6, 9), [9, 12).  A pair
-        # {x, y} fails the chunk of x; the full rescan from that chunk must
-        # run on to the chunk of y when only (y, x) is wrong, and must start
-        # at that chunk, not after it, when (x, y) is.
+        # {x, y}, x < y, fails the chunk of x; when only (y, x) is wrong the
+        # scan must run on to the chunk of y, whose own pairs come first.
         n = 12
         monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 3 * n)
         rng = random.Random(12)
@@ -530,18 +529,18 @@ class TestHalfScan:
             for c in found.values():
                 assert (c.x, c.y) == first, planted
 
-    def test_full_rescan_only_from_the_failing_chunk(self, monkeypatch):
-        # Records each chunk scan as (start row, half).  A realizer that
-        # verifies needs the half scan alone, which also shows that cells
+    def test_each_chunk_is_scanned_at_most_once(self, monkeypatch):
+        # Records the start row of each chunk scan.  A realizer that
+        # verifies scans every chunk once, which also shows that cells
         # y <= x inside a chunk are masked: (y, x) with y > x answers 0 in
         # leq but phi[t] + 2 * phi[~t] there can be 2.
         calls = []
 
         class RecordingPool(realizer_module.ThreadPoolExecutor):
             def map(self, fn, *iterables):
-                def spy(start, half):
-                    calls.append((start, half))
-                    return fn(start, half)
+                def spy(start):
+                    calls.append(start)
+                    return fn(start)
 
                 return super().map(spy, *iterables)
 
@@ -550,11 +549,15 @@ class TestHalfScan:
         monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 5 * n)
         p = pd.boolean_lattice(6)
         assert pd.verify(p, pd.b6_realizer(), threads=1).ok
-        assert calls == [(a, True) for a in range(0, n, 5)]
+        assert calls == list(range(0, n, 5))
         rng = random.Random(6)
         leq = index_ordered_leq(rng, 12)
         r, index = pairwise_realizer(rng, leq)
         monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 3 * 12)
+        # Every pair fails the chunk of rows [3, 6).  (8, 4) and (11, 5) are
+        # marked there through their cells (4, 8) and (5, 11), at flat
+        # indices 8 * 12 + 4 and 11 * 12 + 5, past the start of each later
+        # chunk up to their first row, so the scan must read those too.
         for planted in ((4, 8), (8, 4), (11, 5)):
             bits = r.phi.bits.copy()
             bits[index[planted]] ^= 1
@@ -562,8 +565,8 @@ class TestHalfScan:
                 calls.clear()
                 c = pd.verify(as_poset(leq), with_phi(r, bits), threads=threads)
                 assert (c.counterexample.x, c.counterexample.y) == planted
-                full = sorted(a for a, half in calls if not half)
-                assert full[0] == min(planted) // 3 * 3, (planted, calls)
+                assert len(calls) == len(set(calls)), (planted, calls)
+                assert set(range(0, planted[0] + 1, 3)) <= set(calls), calls
 
     def test_not_antisymmetric_is_caught_by_the_half_scan(self):
         # leq[1, 2] and leq[2, 1] both hold; the realizer answers (1, 2)

@@ -8,7 +8,7 @@ import pytest
 import posetdim as pd
 from posetdim.errors import GuardExceeded
 from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
-from posetdim.search import Inconsistent, phi_consistent
+from posetdim.search import _before_mask, _consistent_phi, _leq_masks
 
 from corpus import dim_corpus, four_element_posets
 
@@ -55,51 +55,38 @@ class TestExactDim:
             assert pd.verify(p, pd.from_extensions(p, witness)).ok, name
 
 
+def consistent_phi(p, orders, mode=REFLEXIVE_INCLUSIVE):
+    """The truth-table bits that make the orders a realizer of p, or None."""
+    masks = tuple(_before_mask(o.rank, p.n) for o in orders)
+    answers, universe = _leq_masks(p)
+    reflexive = mode == REFLEXIVE_INCLUSIVE
+    return _consistent_phi(masks, answers, universe, len(orders), reflexive)
+
+
 class TestPhiConsistent:
     def test_b2_pinned_extensions_give_and(self):
         b2 = pd.boolean_lattice(2)
         exts, _ = pd.linear_extensions(b2)
-        table = phi_consistent(b2, exts)
-        assert table == pd.and_function(2)
+        assert consistent_phi(b2, exts) == list(pd.and_function(2).bits)
 
     def test_chain_single_extension(self):
         p = pd.chain(4)
-        table = phi_consistent(p, [pd.some_linear_extension(p)])
-        assert list(table.bits) == [0, 1]
+        assert consistent_phi(p, [pd.some_linear_extension(p)]) == [0, 1]
 
     def test_antichain_reflexive_conflict(self):
-        result = phi_consistent(
-            pd.antichain(2), [pd.LinearOrder.from_sequence([0, 1])]
-        )
-        assert isinstance(result, Inconsistent)
-        assert result.pair_a == (0, 0) and result.pair_b == (0, 1)
+        order = pd.LinearOrder.from_sequence([0, 1])
+        assert consistent_phi(pd.antichain(2), [order]) is None
 
     def test_antichain_distinct_mode_consistent(self):
-        table = phi_consistent(
-            pd.antichain(2),
-            [pd.LinearOrder.from_sequence([0, 1])],
-            mode=DISTINCT_ONLY,
-        )
-        assert list(table.bits) == [0, 0]
-
-    def test_mixed_class_conflict_pairs(self):
-        # one order on a chain reversed: comparable pair needs 1, reverse...
-        p = pd.from_relation_pairs(3, None, [(0, 1)])
-        order = pd.LinearOrder.from_sequence([2, 0, 1])
-        result = phi_consistent(p, [order], mode=DISTINCT_ONLY)
-        # class "before": (0,1) needs 1 but (2,0) and (2,1) need 0
-        assert isinstance(result, Inconsistent)
-        assert result.pair_a == (0, 1) and result.pair_b == (2, 0)
+        order = pd.LinearOrder.from_sequence([0, 1])
+        bits = consistent_phi(pd.antichain(2), [order], mode=DISTINCT_ONLY)
+        assert bits == [0, 0]
 
     def test_unconstrained_tuples_default_to_zero(self):
         p = pd.chain(2)
-        table = phi_consistent(
-            p,
-            [pd.LinearOrder.from_sequence([0, 1]),
-             pd.LinearOrder.from_sequence([0, 1])],
-        )
+        order = pd.LinearOrder.from_sequence([0, 1])
         # tuples 01 and 10 never occur; both must default to 0
-        assert list(table.bits) == [0, 0, 0, 1]
+        assert consistent_phi(p, [order, order]) == [0, 0, 0, 1]
 
 
 class TestExactBdim:
@@ -141,9 +128,7 @@ class TestExactBdim:
                     reduced = pd.exact_bdim(p, d_max=d, mode=mode)
                     reduced_found = reduced is not None and reduced[0] <= d
                     full_found = any(
-                        not isinstance(
-                            phi_consistent(p, list(combo), mode), Inconsistent
-                        )
+                        consistent_phi(p, list(combo), mode) is not None
                         for combo in iproduct(ranks, repeat=d)
                     )
                     assert reduced_found == full_found, (name, mode, d)
