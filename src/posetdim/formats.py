@@ -17,6 +17,16 @@ phi string lists the truth-table bit at every tuple index):
     d <D>
     order <i>: <N element indices>
     phi <binary string of length 2**D>
+
+Both parsers split the text at the line boundaries of ``str.splitlines``,
+strip each line and skip blank ones; a number is any token ``int()``
+accepts.  README.md ("File formats") states the full grammar.  The lines
+the serializers write take array paths that accept exactly the same
+texts: a run of ``rel <digits> <digits>`` lines, each ended by a newline,
+is read a block at a time by one numpy call, and so is an order line of
+ASCII digits and spaces; any other line is read token by token.  The
+serializers gather each line's numbers from a table of number tokens
+built once per call.
 """
 
 from __future__ import annotations
@@ -26,11 +36,12 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import ParseError, ToolkitError, UsageError
+from .errors import BadParameter, ParseError, ToolkitError, UsageError
 from .poset import (
     MAX_ELEMENTS,
     LinearOrder,
     Poset,
+    _pair_array,
     antichain,
     boolean_lattice,
     chain,
@@ -43,17 +54,33 @@ from .realizer import BooleanRealizer, TruthTable, b6_realizer
 
 
 def serialize_poset(p: Poset) -> str:
-    lines = ["poset v1", f"n {p.n}"]
-    lines += [f"label {i} {p.labels[i]}" for i in range(p.n)]
-    lines.append("mode covers\n")
-    # One block of rel lines per element, so memory follows the text, not a
-    # list of every cover pair.
-    blocks = (
-        f"rel {x} " + f"\nrel {x} ".join(map(str, ys)) + "\n"
-        for x, ys in enumerate(upper_covers(p))
-        if ys
-    )
-    return "\n".join(lines) + "".join(blocks)
+    labels = "".join([f"label {i} {label}\n" for i, label in enumerate(p.labels)])
+    return "".join([f"poset v1\nn {p.n}\n", labels, "mode covers\n", *_rel_lines(p)])
+
+
+_REL_BLOCK = 1 << 12  # covers gathered at a time when a poset is written
+
+
+def _rel_lines(p: Poset) -> Iterator[str]:
+    """The cover ``rel`` lines, about ``_REL_BLOCK`` covers at a time, so
+    memory follows the text.  Each line is gathered from a table of ``rel x ``
+    slots and ``y\n`` slots, NUL-padded to one width (the technique of
+    ``sat._dimacs_chunks``); dropping the NULs leaves the text."""
+    n = p.n
+    slots = np.array([b"rel %d " % x for x in range(n)] + [b"%d\n" % y for y in range(n)])
+    heads: list[int] = []
+    counts: list[int] = []
+    tails: list[int] = []
+    for x, ys in enumerate(upper_covers(p)):
+        heads.append(x)
+        counts.append(len(ys))
+        tails += ys
+        if len(tails) >= _REL_BLOCK or x == n - 1:
+            index = np.empty((len(tails), 2), dtype=np.intp)
+            index[:, 0] = np.repeat(heads, counts)
+            index[:, 1] = np.add(tails, n)
+            yield slots[index].tobytes().translate(None, b"\0").decode("ascii")
+            heads, counts, tails = [], [], []
 
 
 def _check_size(n: int) -> None:
@@ -62,36 +89,75 @@ def _check_size(n: int) -> None:
         raise ParseError(f"n={n} is outside 1..{MAX_ELEMENTS}")
 
 
-def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
-    """The stripped non-empty lines of ``text.splitlines()``, one at a time.
-    The text is split a block of about ``block`` characters at a time, each
-    cut just after a newline, where every line boundary splitlines knows
-    also falls, so no list of every line is built."""
+_PIECE = 1 << 16  # characters of text split into lines at a time
+
+
+def _pieces(text: str, block: int) -> Iterator[str]:
+    """``text`` in pieces of about ``block`` characters, each cut just
+    after a newline, where every line boundary splitlines knows also
+    falls."""
     start = 0
     while start < len(text):
         stop = text.find("\n", start + block) + 1 or len(text)
-        for raw in text[start:stop].splitlines():
-            line = raw.strip()
-            if line:
-                yield line
+        yield text[start:stop]
         start = stop
 
 
+def _lines(text: str, block: int = _PIECE) -> Iterator[str]:
+    """The stripped non-empty lines of ``text.splitlines()``, one at a time.
+    The text is split a piece at a time (``_pieces``), so no list of every
+    line is built."""
+    for piece in _pieces(text, block):
+        for raw in piece.splitlines():
+            line = raw.strip()
+            if line:
+                yield line
+
+
+#: A run of canonical ``rel <i> <j>`` lines, each ended by "\n", from the
+#: start of a line.  At most 18 digits a number, so each fits int64.
+_REL_RUN = re.compile(r"^(?:rel [0-9]{1,18} [0-9]{1,18}\n)+", re.MULTILINE)
+
+
+def _poset_lines(text: str, block: int = _PIECE) -> Iterator[str | np.ndarray]:
+    """The lines of ``_lines(text)`` in order, except that each run of
+    canonical ``rel`` lines inside a piece comes as one int64 array of its
+    endpoints ``i, j, i, j, ...``, read by one numpy call.  A run holds
+    only ``rel``, digits, spaces and the newlines that end its lines, so
+    it is whole lines of splitlines; the text between runs goes through
+    ``_lines``."""
+    for piece in _pieces(text, block):
+        done = 0
+        for run in _REL_RUN.finditer(piece):
+            yield from _lines(piece[done : run.start()])
+            yield np.fromstring(run.group().replace("rel ", ""), dtype=np.int64, sep=" ")
+            done = run.end()
+        yield from _lines(piece[done:])
+
+
 def parse_poset(text: str) -> Poset:
-    """Parse a ``poset v1`` document.  The lines are read one at a time, and
-    the ``rel`` endpoints are kept in two int lists that
-    ``from_relation_pairs`` reads once, so no list of lines, no list of
-    pairs and no (n, n) matrix is built."""
-    lines = _lines(text)
-    if next(lines, None) != "poset v1":
+    """Parse a ``poset v1`` document.  The lines are read one at a time,
+    and runs of canonical ``rel`` lines a block at a time
+    (``_poset_lines``); the endpoints are kept as int arrays, in document
+    order, that ``from_relation_pairs`` reads at once, so no list of lines,
+    no list of pairs and no (n, n) matrix is built."""
+    lines = _poset_lines(text)
+    header = next(lines, None)
+    if not isinstance(header, str) or header != "poset v1":
         raise ParseError("expected 'poset v1' header")
     n: int | None = None
     labels: list[str] | None = None
     mode: str | None = None
-    heads: list[int] = []
-    tails: list[int] = []
+    chunks: list[np.ndarray] = []  # endpoint arrays, in document order
+    pending: list[tuple[int, int]] = []  # rel pairs of other lines since then
     try:
         for ln in lines:
+            if isinstance(ln, np.ndarray):
+                if pending:
+                    chunks.append(_pair_array(pending))
+                    pending = []
+                chunks.append(ln.reshape(-1, 2))
+                continue
             key, _, rest = ln.partition(" ")
             if key == "n":
                 n = int(rest)
@@ -111,8 +177,7 @@ def parse_poset(text: str) -> Poset:
                 mode = rest
             elif key == "rel":
                 i_text, j_text = rest.split()
-                heads.append(int(i_text))
-                tails.append(int(j_text))
+                pending.append((int(i_text), int(j_text)))
             else:
                 raise ParseError(f"unknown line {ln!r}")
     except ParseError:
@@ -123,18 +188,43 @@ def parse_poset(text: str) -> Poset:
         raise ParseError("missing n line")
     if mode is None:
         raise ParseError("missing mode line")
+    chunks.append(_pair_array(pending))
     try:
-        return from_relation_pairs(n, labels, zip(heads, tails))
+        return from_relation_pairs(n, labels, np.concatenate(chunks))
     except ToolkitError as exc:
         raise ParseError(f"invalid poset data: {exc}") from exc
 
 
 def serialize_realizer(r: BooleanRealizer) -> str:
-    lines = ["realizer v1", f"n {r.n}", f"d {r.d}"]
+    """Each order line is gathered from a table of `` k`` slots, NUL-padded
+    to one width, indexed by the order's sequence; dropping the NULs leaves
+    the text."""
+    slots = np.array([b" %d" % k for k in range(r.n)])
+    lines = [b"realizer v1", b"n %d" % r.n, b"d %d" % r.d]
     for i, order in enumerate(r.orders, start=1):
-        lines.append(f"order {i}: " + " ".join(map(str, order.sequence().tolist())))
-    lines.append("phi " + "".join(map(str, r.phi.bits.tolist())))
-    return "\n".join(lines) + "\n"
+        body = slots[order.sequence()].tobytes().translate(None, b"\0")
+        lines.append(b"order %d:%s" % (i, body))
+    lines += [b"phi " + (r.phi.bits + ord("0")).tobytes(), b""]
+    return b"\n".join(lines).decode("ascii")
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _order_indices(body: str) -> np.ndarray:
+    """The whitespace-separated integers of an order line, as int64.  A
+    body of ASCII digits and spaces only is read by one numpy call, unless
+    a number saturates it at the int64 maximum.  Any other body goes
+    through ``int()`` token by token, which accepts signs, underscores and
+    non-ASCII digits and raises ValueError on the rest (and on a number of
+    more digits than the interpreter converts); a value outside
+    0..MAX_ELEMENTS-1 is read as -1, which no index takes either."""
+    if body.isascii() and not body.encode().translate(None, b"0123456789 "):
+        seq = np.fromstring(body, dtype=np.int64, sep=" ")
+        if seq.max() < _INT64_MAX:
+            return seq
+    values = [int(token) for token in body.split()]
+    return np.array([v if 0 <= v < MAX_ELEMENTS else -1 for v in values], dtype=np.int64)
 
 
 def parse_realizer(text: str) -> BooleanRealizer:
@@ -151,14 +241,17 @@ def parse_realizer(text: str) -> BooleanRealizer:
             raise ParseError(f"expected {d} order lines plus a phi line")
         orders = []
         for i in range(d):
-            ln = lines[3 + i]
-            m = re.fullmatch(rf"order {i + 1}: (.*)", ln)
-            if not m:
+            ln, prefix = lines[3 + i], f"order {i + 1}: "
+            if not ln.startswith(prefix):
                 raise ParseError(f"expected 'order {i + 1}: ...', got {ln!r}")
-            seq = list(map(int, m.group(1).split()))
-            if len(seq) != n or not np.array_equal(np.sort(seq), np.arange(n)):
-                raise ParseError(f"order {i + 1} is not a permutation of 0..{n - 1}")
-            orders.append(LinearOrder.from_sequence(seq))
+            seq = _order_indices(ln[len(prefix) :])
+            wrong = ParseError(f"order {i + 1} is not a permutation of 0..{n - 1}")
+            if len(seq) != n:
+                raise wrong
+            try:
+                orders.append(LinearOrder.from_sequence(seq))
+            except BadParameter:
+                raise wrong from None
         phi_line = lines[3 + d]
         if not phi_line.startswith("phi "):
             raise ParseError("expected a phi line")
@@ -239,5 +332,5 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise ParseError(f"cannot read {path!r}: {exc}") from exc

@@ -82,7 +82,8 @@ class Poset:
     subset encoding, and a poset from ``from_relation_pairs`` (every parsed
     poset file), which holds packed bit rows: bit ``y % 8`` of byte
     ``y // 8`` of row x, least significant first, is ``leq[x, y]``.  The
-    matrix unpacked from them has the bytes the dense closure had.
+    matrix unpacked from them has the bytes the dense closure had.  A
+    Boolean lattice builds its ``labels`` on their first read too.
     """
 
     n: int
@@ -91,9 +92,12 @@ class Poset:
     _subsets = False  # True on a Boolean lattice: x <= y iff x & y == x
     _packed = None    # (n, ceil(n/8)) uint8 rows of a closed relation
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # Reached only for an attribute not set: the leq of a lattice or of
-        # packed rows.
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set: the labels of a lattice, or
+        # the leq of a lattice or of packed rows.
+        if name == "labels" and self._subsets:
+            object.__setattr__(self, "labels", _subset_labels(self.n))
+            return self.labels
         if name != "leq" or not (self._subsets or self._packed is not None):
             raise AttributeError(name)
         n = self.n
@@ -197,12 +201,15 @@ def _make(leq: np.ndarray, labels: list[str] | tuple[str, ...]) -> Poset:
     return Poset(n=leq.shape[0], leq=_freeze(leq), labels=tuple(labels))
 
 
-def _lazy(n: int, labels: list[str], relation: str, value: object) -> Poset:
+def _lazy(n: int, labels: list[str] | None, relation: str, value: object) -> Poset:
     """A poset with no matrix, whose leq is built on its first read from
-    ``relation``: ``"_subsets"`` (True) or ``"_packed"`` (the rows)."""
+    ``relation``: ``"_subsets"`` (True) or ``"_packed"`` (the rows).  A
+    lattice's labels are None here, and built on their first read."""
     p = object.__new__(Poset)
-    for name, v in (("n", n), ("labels", tuple(labels)), (relation, value)):
-        object.__setattr__(p, name, v)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, relation, value)
+    if labels is not None:
+        object.__setattr__(p, "labels", tuple(labels))
     return p
 
 
@@ -217,14 +224,15 @@ def _default_labels(n: int) -> list[str]:
 def from_relation_pairs(
     n: int,
     labels: list[str] | None,
-    pairs: Iterable[tuple[int, int]],
+    pairs: Iterable[tuple[int, int]] | np.ndarray,
 ) -> Poset:
     """Build a poset from relation pairs ``i <= j`` by reflexive-transitive
     closure.
 
     Cover pairs and full relation pairs give the same poset.  A directed
     cycle through two or more distinct elements is rejected rather than
-    quotiented.  ``pairs`` is read once, so it may be an iterator.
+    quotiented.  ``pairs`` is an (m, 2) integer array, or an iterable of
+    pairs read once, so it may be an iterator.
 
     Each closure row, the bitset of an element's up-set, is written straight
     into one (n, ceil(n/8)) uint8 array, which the poset holds as its
@@ -239,19 +247,21 @@ def from_relation_pairs(
     if len(labels) != n:
         raise BadParameter("labels must have one entry per element")
 
-    adj: list[list[int]] = [[] for _ in range(n)]  # repeats are harmless
-    for i, j in pairs:
-        i, j = operator.index(i), operator.index(j)  # numpy ints too; no floats
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={n}")
-        if i != j:
-            adj[i].append(j)
+    ends = _pair_array(pairs)
+    outside = ((ends < 0) | (ends >= n)).any(axis=1)
+    if outside.any():
+        i, j = ends[outside.argmax()].tolist()
+        raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={n}")
+    heads, tails = ends.astype(np.intp).T
+    keep = heads != tails  # repeats are harmless; loops are dropped
+    heads, tails = heads[keep], tails[keep]
+    by_head = np.argsort(heads, kind="stable")
+    targets = tails[by_head].tolist()
+    bounds = np.searchsorted(heads[by_head], np.arange(n + 1)).tolist()
+    adj = [targets[bounds[v] : bounds[v + 1]] for v in range(n)]
 
     # Kahn's algorithm: a leftover node means a directed cycle.
-    indeg = [0] * n
-    for i in range(n):
-        for j in adj[i]:
-            indeg[j] += 1
+    indeg = np.bincount(tails, minlength=n).tolist()
     stack = [v for v in range(n) if indeg[v] == 0]
     topo: list[int] = []
     while stack:
@@ -279,17 +289,40 @@ def from_relation_pairs(
     return _lazy(n, labels, "_packed", _freeze(packed))
 
 
+def _pair_array(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """``pairs`` as an (m, 2) array: an integer array as it is, otherwise
+    int64, or object where a value is past int64 (and so out of any range
+    an index is checked against).  Every endpoint must be an int or a numpy
+    integer; a float raises TypeError."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
+        if pairs.shape[1:] == (2,):
+            return pairs
+    flat: list[int] = []
+    for i, j in pairs:
+        flat += (operator.index(i), operator.index(j))
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(flat, dtype=object).reshape(-1, 2)
+
+
 def boolean_lattice(n: int) -> Poset:
     """All subsets of ``{1..n}`` under inclusion, subset-as-bit-vector
-    indexed.  No relation matrix is built until ``leq`` is first read."""
+    indexed.  No relation matrix and no label is built until ``leq`` or
+    ``labels`` is first read."""
     if n < 0:
         raise BadParameter(f"n must be >= 0, got {n}")
-    size = _capped_size(2, n)
+    return _lazy(_capped_size(2, n), None, "_subsets", True)
+
+
+def _subset_labels(size: int) -> tuple[str, ...]:
+    """The labels ``{}``, ``{1}``, ``{2}``, ``{1,2}``, ... of the lattice on
+    ``size`` subsets."""
     # Doubling: subset x + 2**(k-1) is subset x with k appended.
     labels = ["{}"]
-    for k in range(1, n + 1):
+    for k in range(1, size.bit_length()):
         labels += [f"{{{k}}}"] + [s[:-1] + f",{k}}}" for s in labels[1:]]
-    return _lazy(size, labels, "_subsets", True)
+    return tuple(labels)
 
 
 def grid_coordinates(n: int, m: int) -> np.ndarray:
@@ -388,11 +421,20 @@ class LinearOrder:
 
     @classmethod
     def from_sequence(cls, seq: list[int] | np.ndarray) -> "LinearOrder":
-        """Build from the element sequence listed least to greatest."""
+        """Build from the element sequence listed least to greatest, which
+        must list each of 0..n-1 once.  The rank is written by one scatter
+        that starts from -1, so a repeat leaves a -1 and no sort is needed."""
         seq = np.asarray(seq)
-        rank = np.empty(len(seq), dtype=np.int64)
-        rank[seq] = np.arange(len(seq))
-        return cls(rank=rank)
+        n = len(seq)
+        if seq.ndim != 1 or n and not 0 <= seq.min() <= seq.max() < n:
+            raise BadParameter("sequence must list each of 0..n-1 once")
+        rank = np.full(n, -1, dtype=np.int64)
+        rank[seq] = np.arange(n)
+        if n and rank.min() < 0:
+            raise BadParameter("sequence must list each of 0..n-1 once")
+        order = object.__new__(cls)
+        object.__setattr__(order, "rank", _freeze(rank))
+        return order
 
     def sequence(self) -> np.ndarray:
         """Element indices listed least to greatest."""
@@ -507,19 +549,31 @@ def upper_covers(p: Poset) -> Iterator[list[int]]:
     extension), so the lowest bit left in x's strict up-set is a cover of x.
     Each step clears that cover's up-set and its bit, so it ends on any input.
     """
+    n = p.n
     if p._subsets:
-        k = p.n.bit_length() - 1
-        for x in range(p.n):
+        k = n.bit_length() - 1
+        for x in range(n):
             yield [x | 1 << i for i in range(k) if not x >> i & 1]
         return
-    order = np.argsort(p.leq.sum(axis=0), kind="stable")
+    # The relation is read a row block at a time (Poset._relation), so the
+    # (n, n) matrix of packed rows is never unpacked whole.
+    step = max(1, _BLOCK_CELLS // n)
+    blocks = [slice(a, min(a + step, n)) for a in range(0, n, step)]
+    everything = slice(0, n)
+    down = sum(p._relation(rows, everything).sum(axis=0) for rows in blocks)
+    order = np.argsort(down, kind="stable")
     pos = np.argsort(order).tolist()
-    up = [
-        int.from_bytes(np.packbits(row[order], bitorder="little").tobytes(), "little")
-        for row in p.leq
-    ]
+    up: list[int] = []
+    for rows in blocks:
+        block = p._relation(rows, everything)[:, order]
+        bits = np.packbits(block, axis=1, bitorder="little")
+        width, data = bits.shape[1], bits.tobytes()
+        up += [
+            int.from_bytes(data[i : i + width], "little")
+            for i in range(0, len(data), width)
+        ]
     element = order.tolist()
-    for x in range(p.n):
+    for x in range(n):
         covers = []
         rest = up[x] & ~(1 << pos[x])
         while rest:

@@ -13,8 +13,10 @@ significant bit.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -157,6 +159,13 @@ def query_tuple(r: BooleanRealizer, x: int, y: int) -> tuple[int, ...]:
     return tuple(int(o.rank[x] <= o.rank[y]) for o in r.orders)
 
 
+def _run_now(fn, *args) -> Future:
+    """A future of ``fn(*args)``, called at once in this thread."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def verify(
     p: Poset,
     r: BooleanRealizer,
@@ -196,7 +205,12 @@ def verify(
     from row a marks is at least a * n, so the chunks' results, read in row
     order, stop at the first chunk that starts past the least index so far:
     the counterexample is the first wrong ordered pair in ascending (x, then
-    y) order for every thread count.
+    y) order for every thread count.  Chunks are submitted in row order,
+    each only while it can still hold that pair.  One thread scans each
+    chunk in the caller as it is submitted, so it scans exactly the chunks
+    the answer needs.  More threads keep ``threads + 1`` chunks in flight,
+    one queued so that no worker waits for the driver, and scan at most
+    ``threads`` chunks more.
 
     A chunk's tuple indices are built a byte at a time: orders 9-16 are
     accumulated (``acc += acc; acc += bits``) in a uint8 buffer that reads
@@ -267,17 +281,24 @@ def verify(
         # Where both bits are set, x * n + y <= y * n + x, as x <= y.
         return int(np.where(wrong[i, j] & 1, x * n + y, y * n + x).min())
 
-    starts = range(0, n, rows_per_chunk)
+    starts = iter(range(0, n, rows_per_chunk))
     first = None
+    window = 1 if threads <= 1 else threads + 1
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        hits = pool.map(scan, starts)
-        for start in starts:
+        submit = pool.submit if threads > 1 else _run_now
+        running = deque((s, submit(scan, s)) for s in islice(starts, window))
+        while running:
+            start, future = running.popleft()
             if first is not None and start * n > first:
                 break
-            hit = next(hits)
+            hit = future.result()
             if hit is not None and (first is None or hit < first):
                 first = hit
-        hits.close()  # cancels the chunks not yet started
+            after = next(starts, n)
+            if after < n and (first is None or after * n <= first):
+                running.append((after, submit(scan, after)))
+        for _, future in running:
+            future.cancel()
 
     pairs = n * (n - 1)
     if first is None:

@@ -69,6 +69,23 @@ def test_lattice_dump_builds_no_relation(tmp_path, monkeypatch):
     assert "leq" not in vars(made[0])
 
 
+def test_parsed_dump_builds_no_relation(tmp_path, monkeypatch):
+    # The covers of a parsed file come from its packed rows, a block of
+    # rows at a time, so dump never unpacks its (n, n) matrix.
+    made = []
+
+    def spec(text):
+        made.append(parse_poset_spec(text))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "parse_poset_spec", spec)
+    first, second = tmp_path / "b12.poset", tmp_path / "again.poset"
+    assert cli.main(["dump", "boolean:12", "--out", str(first)]) == 0
+    assert cli.main(["dump", str(first), "--out", str(second)]) == 0
+    assert made[1]._packed is not None and "leq" not in vars(made[1])
+    assert hashlib.sha256(second.read_bytes()).hexdigest() == DUMP_GOLDEN["boolean:12"]
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_lattice_covers_match_the_matrix_walk(n):
     p = pd.boolean_lattice(n)

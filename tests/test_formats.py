@@ -1,6 +1,9 @@
 """Text-format round trips and the named-spec grammar."""
 
+import contextlib
+import os
 import random
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import posetdim as pd
 from posetdim.errors import ParseError, ToolkitError, UsageError
 from posetdim.formats import (
+    _REL_RUN,
     _lines,
+    _poset_lines,
     family_grid_params,
     parse_poset,
     parse_poset_spec,
@@ -20,6 +25,7 @@ from posetdim.formats import (
     serialize_realizer,
 )
 
+import reference_parsers as reference
 from corpus import five_element_posets, four_element_posets
 
 
@@ -337,6 +343,15 @@ class TestSpecs:
         with pytest.raises(ParseError):
             parse_poset_spec("/no/such/file.poset")
 
+    def test_unreadable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.poset"
+        path.write_bytes(b"poset v1\nn 1\nlabel 0 \xe9\nmode covers\n")
+        for spec in (str(path), str(tmp_path / "nul\0.poset")):
+            with pytest.raises(ParseError):
+                parse_poset_spec(spec)
+            with pytest.raises(ParseError):
+                parse_realizer_spec(spec)
+
     def test_builtin_realizer(self):
         assert parse_realizer_spec("builtin:b6") == pd.b6_realizer()
 
@@ -348,3 +363,245 @@ class TestSpecs:
         assert family_grid_params("boolean:6") == (6, 2)
         assert family_grid_params("grid:2x5") == (2, 5)
         assert family_grid_params("chain:4") is None
+
+
+# ---------------------------------------------------------------------------
+# differential against the parsers as they were before the array fast paths
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def number_tokens(draw, value):
+    """``value`` written as one token in a way int() may or may not accept:
+    plain, with leading zeros (up to 20 digits), '+', '-', an underscore,
+    Arabic-Indic digits, a 20-digit number, or junk."""
+    text = str(value)
+    form = draw(st.integers(0, 12))
+    if form == 1:
+        return "0" * draw(st.integers(1, 20)) + text
+    if form == 2:
+        return "+" + text
+    if form == 3:
+        return "-" + text
+    if form == 4 and value >= 10:
+        return text[0] + "_" + text[1:]
+    if form == 5:
+        return text.translate(_ARABIC_INDIC)
+    if form == 6:
+        return str(10**19 + value)
+    if form == 7:
+        return draw(st.sampled_from(["x", "2.0", "", "1__0", "0x1"]))
+    return text
+
+
+def separators(draw):
+    return draw(st.sampled_from([" "] * 6 + ["  ", "\t", " \t ", "\xa0"]))
+
+
+@st.composite
+def token_lists(draw, values):
+    """The tokens of ``values`` joined by separators, with a token
+    sometimes dropped or repeated."""
+    tokens = [draw(number_tokens(v)) for v in values]
+    if tokens and draw(st.integers(0, 7)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    if tokens and draw(st.integers(0, 7)) == 0:
+        tokens.append(draw(st.sampled_from(tokens)))
+    out = ""
+    for i, token in enumerate(tokens):
+        out += (separators(draw) if i else "") + token
+    return out
+
+
+@st.composite
+def documents(draw, lines):
+    """``lines`` joined by "\\n", "\\r\\n" or blank lines, with stray
+    whitespace around some of them."""
+    out = []
+    for line in lines:
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(st.sampled_from([" ", "\t", "  "])) + line + " "
+        out.append(line)
+        out.append(draw(st.sampled_from(["\n"] * 8 + ["\r\n", "\n\n", "\n \n", "\r"])))
+    if out and draw(st.booleans()):
+        out.pop()  # no newline after the last line
+    return "".join(out)
+
+
+@st.composite
+def realizer_documents(draw):
+    n, d = draw(st.integers(1, 12)), draw(st.integers(0, 3))
+    lines = ["realizer v1", f"n {n}", f"d {d}"]
+    for i in range(1, d + 1):
+        seq = draw(st.permutations(range(n)))
+        if draw(st.integers(0, 5)) == 0:
+            seq = draw(st.lists(st.integers(-2, n + 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            body = " ".join(map(str, seq))  # canonical
+        else:
+            body = draw(token_lists(seq))
+        lines.append(f"order {i}: {body}")
+    lines.append("phi " + draw(st.text("01", min_size=1 << d, max_size=1 << d)))
+    return draw(documents(lines))
+
+
+@st.composite
+def poset_documents(draw):
+    n = draw(st.integers(1, 10))
+    lines = ["poset v1", f"n {n}"]
+    for i in draw(st.lists(st.integers(0, n), max_size=3)):
+        lines.append(f"label {i} " + draw(st.text("ab {}", max_size=5)))
+    lines.append(draw(st.sampled_from(["mode covers", "mode relation"])))
+    for _ in range(draw(st.integers(0, 14))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        i, j = (min(i, j), max(i, j)) if draw(st.integers(0, 9)) else (i, j)
+        if draw(st.integers(0, 11)) == 0:
+            j = draw(st.sampled_from([-1, n, 10**20]))
+        if draw(st.booleans()):
+            lines.append(f"rel {i} {j}")  # canonical
+        else:
+            lines.append("rel" + separators(draw) + draw(token_lists([i, j])))
+    if draw(st.integers(0, 4)) == 0:
+        lines = lines[:1] + draw(st.permutations(lines[1:]))
+    return draw(documents(lines))
+
+
+def outcome(parse, text):
+    """The parsed object, or the message of the ParseError raised."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestParserDifferential:
+    @settings(max_examples=400)
+    @given(realizer_documents())
+    def test_realizer_parser_matches_the_reference(self, text):
+        assert outcome(parse_realizer, text) == outcome(reference.parse_realizer, text)
+
+    @settings(max_examples=400)
+    @given(poset_documents())
+    def test_poset_parser_matches_the_reference(self, text):
+        assert outcome(parse_poset, text) == outcome(reference.parse_poset, text)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            "0 1 2", "2  1 0", "0\t1 2", "00 01 0002", "+0 1 2", "0 1_0 2",
+            "٠ ١ ٢", "0 1 00000000000000000002", "-0 1 2", "0 1", "0 1 2 2",
+            f"0 1 {2**64 + 2}", f"0 1 {2**63 + 2}", f"0 1 {2**63}", "0 1 -2",
+            "0\xa01 2", f"0 1 {2**63 - 1}", "0 1 " + "9" * 5000,
+        ],
+    )
+    def test_order_lines_match_the_reference(self, order):
+        # 2**64 + 2 and 2**63 + 2 would wrap to the valid index 2.  int()
+        # refuses 5000 digits with its own message.
+        text = f"realizer v1\nn 3\nd 1\norder 1: {order}\nphi 01\n"
+        assert outcome(parse_realizer, text) == outcome(reference.parse_realizer, text)
+
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "rel 0 1", "rel 00 001", "rel  0 1", "rel 0\t1", "rel 0 1 2",
+            "rel 0", "rel +0 1", "rel 0 ١", f"rel 0 {10**20}",
+            "rel 0 0000000000000000000001", "rel 0 -1", "rel 1 0",
+            "rel 0 " + "9" * 5000,
+        ],
+    )
+    def test_rel_lines_match_the_reference(self, rel):
+        for end in ("\n", "\r\n", ""):
+            text = f"poset v1\nn 2\nmode covers\nrel 0 1\n{rel}{end}rel 0 1\n{rel}"
+            assert outcome(parse_poset, text) == outcome(reference.parse_poset, text)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="rel 0123\n\r\tx", max_size=60), st.integers(0, 12))
+    def test_poset_lines_are_the_lines(self, text, block):
+        # Each array stands for whole canonical rel lines of _lines.
+        def pairs(items):
+            out = []
+            for item in items:
+                if isinstance(item, np.ndarray):
+                    out += [tuple(pair) for pair in item.reshape(-1, 2).tolist()]
+                elif _REL_RUN.fullmatch(item + "\n"):
+                    out.append(tuple(map(int, item.split()[1:])))
+                else:
+                    out.append(item)
+            return out
+
+        assert pairs(_poset_lines(text, block)) == pairs(_lines(text, block))
+
+
+# ---------------------------------------------------------------------------
+# named specs: every text resolves or raises a ToolkitError
+
+
+@contextlib.contextmanager
+def empty_working_directory():
+    """Run in a fresh empty directory, so a spec read as a relative path
+    names no file of the checkout."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(here)
+
+
+_SPEC_PARTS = ["boolean", "grid", "standard", "chain", "antichain", "builtin",
+               "b6", "b7", ":", "x", ".poset", ".txt", "-", " ", "\0", "+", "_", "٣"]
+
+
+@st.composite
+def spec_texts(draw):
+    """Specs built from family names, separators and numbers of at most two
+    digits (so every family that resolves is small), or free text; no "/",
+    so no absolute path is read."""
+    parts = st.one_of(
+        st.sampled_from(_SPEC_PARTS),
+        st.integers(0, 99).map(str),
+        st.text(max_size=4).filter(lambda t: "/" not in t),
+    )
+    return "".join(draw(st.lists(parts, max_size=6)))
+
+
+class TestSpecProperties:
+    @settings(max_examples=300)
+    @given(spec_texts())
+    def test_poset_specs_resolve_or_raise_toolkit_errors(self, spec):
+        with empty_working_directory():
+            try:
+                p = parse_poset_spec(spec)
+            except ToolkitError:
+                return
+        assert 1 <= p.n <= 2 * 99 + 1
+
+    @settings(max_examples=300)
+    @given(spec_texts())
+    def test_realizer_specs_resolve_or_raise_toolkit_errors(self, spec):
+        with empty_working_directory():
+            try:
+                r = parse_realizer_spec(spec)
+            except ToolkitError:
+                return
+        assert r == pd.b6_realizer()
+
+    @settings(max_examples=40)
+    @given(
+        st.one_of(
+            st.integers(14, 10**6).map("boolean:{}".format),
+            st.integers(10**6, 10**40).map("boolean:{}".format),
+            st.tuples(st.integers(1, 10**6), st.integers(2, 10**6))
+            .filter(lambda nm: nm[0] > 8192 or nm[1] ** nm[0] > 8192)
+            .map(lambda nm: "grid:{}x{}".format(*nm)),
+            st.integers(8193, 10**6).map("grid:1x{}".format),
+        )
+    )
+    def test_oversized_family_raises_before_allocating(self, spec):
+        def attempt():
+            with pytest.raises(UsageError):
+                parse_poset_spec(spec)
+
+        assert traced_peak(attempt) < 4 * 2**20

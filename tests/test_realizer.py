@@ -530,21 +530,29 @@ class TestHalfScan:
                 assert (c.x, c.y) == first, planted
 
     def test_each_chunk_is_scanned_at_most_once(self, monkeypatch):
-        # Records the start row of each chunk scan.  A realizer that
-        # verifies scans every chunk once, which also shows that cells
-        # y <= x inside a chunk are masked: (y, x) with y > x answers 0 in
-        # leq but phi[t] + 2 * phi[~t] there can be 2.
+        # Records the start row of each chunk scan, on the pool's workers and
+        # in the caller.  A realizer that verifies scans every chunk once,
+        # which also shows that cells y <= x inside a chunk are masked:
+        # (y, x) with y > x answers 0 in leq but phi[t] + 2 * phi[~t] there
+        # can be 2.
         calls = []
 
+        def spy(fn):
+            def scan(start):
+                calls.append(start)
+                return fn(start)
+
+            return scan
+
         class RecordingPool(realizer_module.ThreadPoolExecutor):
-            def map(self, fn, *iterables):
-                def spy(start):
-                    calls.append(start)
-                    return fn(start)
+            def submit(self, fn, *args):
+                return super().submit(spy(fn), *args)
 
-                return super().map(spy, *iterables)
-
+        run_now = realizer_module._run_now
         monkeypatch.setattr(realizer_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(
+            realizer_module, "_run_now", lambda fn, *args: run_now(spy(fn), *args)
+        )
         n = 64
         monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 5 * n)
         p = pd.boolean_lattice(6)
@@ -557,16 +565,33 @@ class TestHalfScan:
         # Every pair fails the chunk of rows [3, 6).  (8, 4) and (11, 5) are
         # marked there through their cells (4, 8) and (5, 11), at flat
         # indices 8 * 12 + 4 and 11 * 12 + 5, past the start of each later
-        # chunk up to their first row, so the scan must read those too.
+        # chunk up to their first row, so the scan must read those too.  The
+        # answer needs exactly the chunks that start at or before its flat
+        # index: one thread scans those, t threads at most t more.
         for planted in ((4, 8), (8, 4), (11, 5)):
             bits = r.phi.bits.copy()
             bits[index[planted]] ^= 1
-            for threads in (1, 2):
+            answer = planted[0] * 12 + planted[1]
+            needed = [s for s in range(0, 12, 3) if s * 12 <= answer]
+            for threads in (1, 2, 3):
                 calls.clear()
                 c = pd.verify(as_poset(leq), with_phi(r, bits), threads=threads)
                 assert (c.counterexample.x, c.counterexample.y) == planted
                 assert len(calls) == len(set(calls)), (planted, calls)
-                assert set(range(0, planted[0] + 1, 3)) <= set(calls), calls
+                assert set(needed) <= set(calls), calls
+                assert len(calls) <= len(needed) + threads
+                if threads == 1:
+                    assert calls == needed
+        # With one row a chunk, (8, 4), at flat index 100, needs 9 of the 12
+        # chunks, so the bounds bind.
+        monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", 12)
+        bits = r.phi.bits.copy()
+        bits[index[8, 4]] ^= 1
+        for threads in (1, 2, 3):
+            calls.clear()
+            pd.verify(as_poset(leq), with_phi(r, bits), threads=threads)
+            assert sorted(calls)[:9] == list(range(9)) and len(set(calls)) == len(calls)
+            assert len(calls) <= 9 + (threads if threads > 1 else 0), (threads, calls)
 
     def test_not_antisymmetric_is_caught_by_the_half_scan(self):
         # leq[1, 2] and leq[2, 1] both hold; the realizer answers (1, 2)
