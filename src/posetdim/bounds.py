@@ -36,24 +36,6 @@ def singletons_of_grid(n: int, m: int) -> list[int]:
     return sorted(v * m**i for i in range(n) for v in range(1, m))
 
 
-def _row_classes(rows: np.ndarray) -> dict[bytes, list[int]]:
-    """Group row indices of a 2-D array by row content."""
-    rows = np.ascontiguousarray(rows)
-    classes: dict[bytes, list[int]] = {}
-    for x in range(rows.shape[0]):
-        classes.setdefault(rows[x].tobytes(), []).append(x)
-    return classes
-
-
-def _first_collision(rows: np.ndarray) -> tuple[int, int] | None:
-    """First pair of equal rows in ascending (x, then y) scan order."""
-    best: tuple[int, int] | None = None
-    for members in _row_classes(rows).values():
-        if len(members) >= 2 and (best is None or members[0] < best[0]):
-            best = (members[0], members[1])
-    return best
-
-
 def signature_map(orders: list[LinearOrder], d_set: list[int]) -> np.ndarray:
     """(n, d) matrix of signatures: entry (a, i) counts the members of the
     set ranked strictly below element a in order i."""
@@ -74,8 +56,19 @@ def signature_map(orders: list[LinearOrder], d_set: list[int]) -> np.ndarray:
 
 
 def signature_collision(sig: np.ndarray) -> tuple[int, int] | None:
-    """First pair of elements sharing a signature, or None if all distinct."""
-    return _first_collision(sig)
+    """First pair of elements sharing a signature, or None if all distinct:
+    the least x whose signature (row of ``sig``) repeats, and the next
+    element with that signature.  One pass keeps the first element of each
+    signature; a repeat replaces the pair found so far only if its first
+    element is smaller, so a signature's third member never does."""
+    rows = np.ascontiguousarray(sig)
+    first: dict[bytes, int] = {}
+    best: tuple[int, int] | None = None
+    for y in range(rows.shape[0]):
+        x = first.setdefault(rows[y].tobytes(), y)
+        if x < y and (best is None or x < best[0]):
+            best = (x, y)
+    return best
 
 
 def _smallest_power_bound(base: int, size: int) -> int:

@@ -31,7 +31,7 @@ from .formats import (
     serialize_poset,
     serialize_realizer,
 )
-from .poset import boolean_lattice
+from .poset import boolean_lattice, element_label
 from .realizer import (
     DISTINCT_ONLY,
     REFLEXIVE_INCLUSIVE,
@@ -84,7 +84,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
     c = outcome.counterexample
     print(
-        f"counterexample: x={c.x} ({p.labels[c.x]}) y={c.y} ({p.labels[c.y]}) "
+        f"counterexample: x={c.x} ({element_label(p, c.x)}) "
+        f"y={c.y} ({element_label(p, c.y)}) "
         f"tuple={_bits(c.query)} expected={int(c.expected)} got={int(c.got)}"
     )
     return 1
@@ -165,8 +166,8 @@ def cmd_signatures(args: argparse.Namespace) -> int:
     x, y = collision
     sig_text = "(" + ",".join(str(v) for v in sig[x]) + ")"
     print(
-        f"collision: x={x} ({p.labels[x]}) y={y} ({p.labels[y]}) "
-        f"signature={sig_text}"
+        f"collision: x={x} ({element_label(p, x)}) "
+        f"y={y} ({element_label(p, y)}) signature={sig_text}"
     )
     return 1
 

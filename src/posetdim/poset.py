@@ -1,14 +1,13 @@
 """Finite posets, plus the constructions used throughout the toolkit:
 Boolean lattices, multiset grids, standard examples, products, induced
-subposets and linear extensions.  A poset's relation is a dense bool
-matrix, except for two kinds whose matrix is built only on demand: a
-Boolean lattice, whose relation is read by arithmetic on the subset
-encoding (``x <= y`` iff ``x & y == x``), and a poset closed from relation
-pairs (so every parsed poset file), which holds packed bit rows, one bit
-per pair.  A lattice's covers add one element to a subset;
-other posets' covers (and the axiom check) come from one greedy walk over
-packed up-sets, with no matrix product.  The block decomposition
-of a Boolean lattice is an index bit permutation.
+subposets and linear extensions.  A poset holds its relation as packed bit
+rows, one bit per pair, except a Boolean lattice, which holds none: its
+relation is read by arithmetic on the subset encoding (``x <= y`` iff
+``x & y == x``).  The dense bool matrix is built only on demand.  A
+lattice's covers add one element to a subset; other posets' covers (and
+the axiom check) come from one greedy walk over packed up-sets, with no
+matrix product.  The block decomposition of a Boolean lattice is an index
+bit permutation.
 
 Conventions pinned here and relied on by file formats and realizer transport:
 
@@ -66,7 +65,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 #: Element indices; element x of a Boolean lattice is the subset with bits x.
 _INDICES = _freeze(np.arange(MAX_ELEMENTS, dtype=np.uint16))
 
-_BLOCK_CELLS = 1 << 18  # cells per row block when a lattice's matrix is built
+_BLOCK_CELLS = 1 << 18  # cells per row block when a matrix is built or walked
 
 #: Shifts that move bit j of a packed byte to bit 0, one plane per j.
 _BIT_SHIFTS = _freeze(np.arange(8, dtype=np.uint8)[:, None])
@@ -76,41 +75,33 @@ _BIT_SHIFTS = _freeze(np.arange(8, dtype=np.uint8)[:, None])
 class Poset:
     """Immutable finite poset on ``0..n-1``.
 
-    ``leq`` is its relation matrix.  Two kinds of poset hold none, and build
-    ``leq`` on its first read, cached and read-only: a Boolean lattice
-    (``boolean_lattice``), whose relation is read by arithmetic on the
-    subset encoding, and a poset from ``from_relation_pairs`` (every parsed
-    poset file), which holds packed bit rows: bit ``y % 8`` of byte
-    ``y // 8`` of row x, least significant first, is ``leq[x, y]``.  The
-    matrix unpacked from them has the bytes the dense closure had.  A
-    Boolean lattice builds its ``labels`` on their first read too.
+    ``leq`` is its relation matrix, read from ``_packed``: (n, ceil(n/8))
+    uint8 rows in which bit ``y % 8`` of byte ``y // 8`` of row x, least
+    significant first, is ``leq[x, y]``.  ``Poset(n, leq, labels)`` packs
+    ``leq`` and keeps it; the constructors here keep only the rows, and
+    build ``leq`` on its first read, cached and read-only.  A Boolean
+    lattice has no rows (None): it reads its relation from the subset
+    encoding, and builds its ``labels`` on their first read too.
     """
 
     n: int
     leq: np.ndarray            # (n, n) bool, read-only
     labels: tuple[str, ...]
-    _subsets = False  # True on a Boolean lattice: x <= y iff x & y == x
-    _packed = None    # (n, ceil(n/8)) uint8 rows of a closed relation
 
     def __getattr__(self, name: str):
         # Reached only for an attribute not set: the labels of a lattice, or
-        # the leq of a lattice or of packed rows.
-        if name == "labels" and self._subsets:
+        # the leq of a poset built without one.
+        if name == "labels" and self._packed is None:
             object.__setattr__(self, "labels", _subset_labels(self.n))
             return self.labels
-        if name != "leq" or not (self._subsets or self._packed is not None):
+        if name != "leq":
             raise AttributeError(name)
         n = self.n
-        if self._packed is not None:
-            leq = np.unpackbits(self._packed, axis=1, count=n, bitorder="little")
-            object.__setattr__(self, "leq", _freeze(leq.view(bool)))
-            return self.leq
         step = max(1, _BLOCK_CELLS // n)
         leq = np.empty((n, n), dtype=bool)
-        spare = np.empty((min(step, n), n), dtype=np.uint16)
         for a in range(0, n, step):
             b = min(a + step, n)
-            self._relation(slice(a, b), slice(0, n), leq[a:b], spare[: b - a])
+            leq[a:b] = self._relation(slice(a, b), slice(0, n), leq[a:b])
         object.__setattr__(self, "leq", _freeze(leq))
         return self.leq
 
@@ -121,11 +112,10 @@ class Poset:
         out: np.ndarray | None = None,
         spare: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The block ``leq[rows, cols]`` of slices with explicit bounds: a
-        view of the matrix; for packed rows, only the block's bytes
-        unpacked; for a Boolean lattice ``x & y == x`` written into ``out``
-        (bool, the block's shape), with ``spare`` (uint16, same shape)
-        holding x & y."""
+        """The block ``leq[rows, cols]`` of slices with explicit bounds: of
+        packed rows, only the block's bytes unpacked; of a Boolean lattice,
+        ``x & y == x`` written into ``out`` (bool, the block's shape), with
+        ``spare`` (uint16, same shape) holding x & y."""
         if self._packed is not None:
             skip = cols.start & 7  # bits of the first byte left of the block
             block = self._packed[rows, cols.start >> 3 : (cols.stop + 7) >> 3]
@@ -133,22 +123,16 @@ class Poset:
                 block, axis=1, count=cols.stop - cols.start + skip, bitorder="little"
             )
             return bits[:, skip:].view(bool)
-        if not self._subsets:
-            return self.leq[rows, cols]
         x = _INDICES[rows, None]
         spare = np.bitwise_and(x, _INDICES[cols], out=spare)
         return np.equal(spare, x, out=out)
 
     def _converse(self, rows: slice, cols: slice) -> np.ndarray:
-        """The block ``leq[cols, rows].T``: ``leq[y, x]`` at (x, y), for x
-        in rows and y in cols, contiguous.  No strided pass reads the
-        relation's columns, which costs several times more: a matrix's block
-        is copied out row by row, then transposed in cache; of packed rows
-        only the few bytes of the rows' columns are transposed, then each
-        bit plane is shifted out into its own row."""
-        if self._packed is None:
-            block = np.ascontiguousarray(self._relation(cols, rows))
-            return np.ascontiguousarray(block.T)
+        """The block ``leq[cols, rows].T`` of packed rows: ``leq[y, x]`` at
+        (x, y), for x in rows and y in cols, contiguous.  No strided pass
+        reads the relation's columns, which costs several times more: only
+        the few bytes of the rows' columns are transposed, then each bit
+        plane is shifted out into its own row."""
         skip = rows.start & 7
         block = self._packed[cols, rows.start >> 3 : (rows.stop + 7) >> 3]
         planes = np.right_shift(np.ascontiguousarray(block.T)[:, None], _BIT_SHIFTS)
@@ -163,6 +147,8 @@ class Poset:
             raise BadParameter("leq must be an (n, n) bool matrix")
         if len(self.labels) != self.n:
             raise BadParameter("labels must have one entry per element")
+        packed = np.packbits(self.leq, axis=1, bitorder="little")
+        object.__setattr__(self, "_packed", _freeze(packed))
 
     def check_axioms(self) -> None:
         """Raise unless leq is a partial order: the closure of its own covers.
@@ -198,16 +184,18 @@ class Poset:
 
 
 def _make(leq: np.ndarray, labels: list[str] | tuple[str, ...]) -> Poset:
-    return Poset(n=leq.shape[0], leq=_freeze(leq), labels=tuple(labels))
+    p = Poset(n=leq.shape[0], leq=leq, labels=tuple(labels))
+    object.__delattr__(p, "leq")  # keep only the packed rows
+    return p
 
 
-def _lazy(n: int, labels: list[str] | None, relation: str, value: object) -> Poset:
+def _lazy(n: int, labels: list[str] | None, packed: np.ndarray | None) -> Poset:
     """A poset with no matrix, whose leq is built on its first read from
-    ``relation``: ``"_subsets"`` (True) or ``"_packed"`` (the rows).  A
+    ``packed``, or on a Boolean lattice (None) from the subset encoding.  A
     lattice's labels are None here, and built on their first read."""
     p = object.__new__(Poset)
     object.__setattr__(p, "n", n)
-    object.__setattr__(p, relation, value)
+    object.__setattr__(p, "_packed", packed)
     if labels is not None:
         object.__setattr__(p, "labels", tuple(labels))
     return p
@@ -286,7 +274,7 @@ def from_relation_pairs(
             bits |= reach[w]
         reach[v] = bits
         rows[v * nbytes : (v + 1) * nbytes] = bits.to_bytes(nbytes, "little")
-    return _lazy(n, labels, "_packed", _freeze(packed))
+    return _lazy(n, labels, _freeze(packed))
 
 
 def _pair_array(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
@@ -312,7 +300,7 @@ def boolean_lattice(n: int) -> Poset:
     ``labels`` is first read."""
     if n < 0:
         raise BadParameter(f"n must be >= 0, got {n}")
-    return _lazy(_capped_size(2, n), None, "_subsets", True)
+    return _lazy(_capped_size(2, n), None, None)
 
 
 def _subset_labels(size: int) -> tuple[str, ...]:
@@ -323,6 +311,15 @@ def _subset_labels(size: int) -> tuple[str, ...]:
     for k in range(1, size.bit_length()):
         labels += [f"{{{k}}}"] + [s[:-1] + f",{k}}}" for s in labels[1:]]
     return tuple(labels)
+
+
+def element_label(p: Poset, x: int) -> str:
+    """The label of element x; a Boolean lattice's from the bits of x, so
+    that no other label is built."""
+    if p._packed is not None:
+        return p.labels[x]
+    members = [str(k + 1) for k in range(p.n.bit_length() - 1) if x >> k & 1]
+    return "{" + ",".join(members) + "}"
 
 
 def grid_coordinates(n: int, m: int) -> np.ndarray:
@@ -394,13 +391,33 @@ def subposet(p: Poset, keep: list[int] | set[int]) -> Poset:
         raise BadParameter("keep set must be nonempty")
     p._check_index(*kept)
     sel = np.asarray(kept)
-    leq = p.leq[np.ix_(sel, sel)].copy()
+    leq = p.leq[np.ix_(sel, sel)]
     labels = [p.labels[i] for i in kept]
     return _make(leq, labels)
 
 
 # ---------------------------------------------------------------------------
 # linear orders and extensions
+
+
+def _inverse(a: np.ndarray, message: str) -> np.ndarray:
+    """The int64 inverse of a bijection of 0..n-1, a 1-D array of integral
+    values; else BadParameter(message).  One scatter from -1 writes it, so
+    a repeat leaves a -1 and no sort is needed."""
+    a = np.asarray(a)
+    n = a.size
+    try:  # NaN fails the range, and a str or None compares with no int
+        ok = a.ndim == 1 and (not n or 0 <= a.min() <= a.max() < n)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise BadParameter(message)
+    ints = a.astype(np.intp)
+    inverse = np.full(n, -1, dtype=np.int64)
+    inverse[ints] = np.arange(n)
+    if n and (inverse.min() < 0 or not np.array_equal(ints, a)):
+        raise BadParameter(message)
+    return inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,10 +427,8 @@ class LinearOrder:
     rank: np.ndarray  # (n,) int64, a bijection onto 0..n-1
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rank)
-        if r.ndim != 1 or not np.array_equal(np.sort(r), np.arange(len(r))):
-            raise BadParameter("rank must be a bijection onto 0..n-1")
-        object.__setattr__(self, "rank", _freeze(r.astype(np.int64)))
+        _inverse(self.rank, "rank must be a bijection onto 0..n-1")
+        object.__setattr__(self, "rank", _freeze(np.array(self.rank, np.int64)))
 
     @property
     def n(self) -> int:
@@ -422,16 +437,12 @@ class LinearOrder:
     @classmethod
     def from_sequence(cls, seq: list[int] | np.ndarray) -> "LinearOrder":
         """Build from the element sequence listed least to greatest, which
-        must list each of 0..n-1 once.  The rank is written by one scatter
-        that starts from -1, so a repeat leaves a -1 and no sort is needed."""
-        seq = np.asarray(seq)
-        n = len(seq)
-        if seq.ndim != 1 or n and not 0 <= seq.min() <= seq.max() < n:
-            raise BadParameter("sequence must list each of 0..n-1 once")
-        rank = np.full(n, -1, dtype=np.int64)
-        rank[seq] = np.arange(n)
-        if n and rank.min() < 0:
-            raise BadParameter("sequence must list each of 0..n-1 once")
+        must list each of 0..n-1 once; its inverse is the rank."""
+        return cls._of(_inverse(seq, "sequence must list each of 0..n-1 once"))
+
+    @classmethod
+    def _of(cls, rank: np.ndarray) -> "LinearOrder":
+        # An int64 rank known to be a bijection, unchecked.
         order = object.__new__(cls)
         object.__setattr__(order, "rank", _freeze(rank))
         return order
@@ -550,7 +561,7 @@ def upper_covers(p: Poset) -> Iterator[list[int]]:
     Each step clears that cover's up-set and its bit, so it ends on any input.
     """
     n = p.n
-    if p._subsets:
+    if p._packed is None:
         k = n.bit_length() - 1
         for x in range(n):
             yield [x | 1 << i for i in range(k) if not x >> i & 1]

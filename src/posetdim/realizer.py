@@ -27,6 +27,7 @@ from .poset import (
     Poset,
     _capped_size,
     _freeze,
+    _inverse,
     block_decomposition_iso,
     grid_coordinates,
     is_linear_extension,
@@ -181,12 +182,10 @@ def verify(
     Row chunks of about ``_CHUNK_CELLS`` pairs are scanned on
     ``max(1, threads)`` worker threads.  Each thread fills one set of
     chunk-sized buffers in place and reuses it for every chunk it scans.  A
-    chunk reads the relation block by block (``Poset._relation``): a slice
-    of ``leq``; the block's bytes of packed rows, unpacked; or on a Boolean
-    lattice ``x & y == x``, written into the chunk's buffers that the query
-    no longer needs.  Both are reflexive by construction, so their diagonal
-    is all True, and the scan never builds the (n, n) matrix of a poset
-    that holds none.
+    chunk reads the relation block by block (``Poset._relation``): the
+    block's bytes of packed rows, unpacked, or on a Boolean lattice
+    ``x & y == x``, written into the chunk's buffers that the query no
+    longer needs.  The scan never reads ``leq``.
 
     Each unordered pair is looked up once, for every poset.  The orders are
     total, so for x != y the query of (y, x) is the bitwise complement of
@@ -199,7 +198,8 @@ def verify(
     cells y <= x: the pair's cell in the row of its smaller element checks
     both of its ordered pairs, for any bool matrix, whether or not it is
     antisymmetric.  In reflexive_inclusive mode the diagonal cells compare
-    ``leq[x, x]`` with phi(1,...,1) instead, and mark x * n + x.
+    ``leq[x, x]``, bit 0 of their ``code`` (a chunk's columns start at its
+    first row), with phi(1,...,1) instead, and mark x * n + x.
 
     A chunk reports the least flat index it marks.  Every index a chunk
     from row a marks is at least a * n, so the chunks' results, read in row
@@ -230,9 +230,6 @@ def verify(
     ranks = np.array([o.rank for o in r.orders], dtype=np.uint16).reshape(r.d, n)
     both = r.phi.bits + 2 * r.phi.bits[::-1]  # index t ^ (2**d - 1) is t reversed
     top = bool(r.phi.bits[-1])  # phi(1,...,1), the answer on the diagonal
-    # A lattice and packed rows are reflexive by construction.
-    lazy = p._subsets or p._packed is not None
-    diagonal = np.ones(n, bool) if lazy else p.leq.diagonal()
     above = ~np.tri(min(rows_per_chunk, n), dtype=bool)  # y > x inside a chunk
     local = threading.local()
 
@@ -265,7 +262,7 @@ def verify(
         # per-index bounds check of the default "raise".
         wrong = np.take(both, t, out=acc, mode="clip")
         code = p._relation(rows, cols, cells, t).view(np.uint8)
-        if not p._subsets:  # add 2 * leq[y, x], in t's spent bytes
+        if p._packed is not None:  # add 2 * leq[y, x], in t's spent bytes
             spent = t.reshape(-1).view(np.uint8)[: h * w].reshape(h, w)
             lower = p._converse(rows, cols).view(np.uint8)
             np.add(lower, lower, out=spent)
@@ -273,7 +270,8 @@ def verify(
         np.bitwise_xor(wrong, code, out=wrong)
         np.multiply(wrong[:, :h], above[:h, :h], out=wrong[:, :h])
         if mode == REFLEXIVE_INCLUSIVE:  # (x, x) is at flat (x - start) * (w + 1)
-            np.not_equal(diagonal[rows], top, out=wrong.reshape(-1)[:: w + 1])
+            on_diagonal = code.reshape(-1)[:: w + 1] & 1  # bit 0 is leq[x, x]
+            np.not_equal(on_diagonal, top, out=wrong.reshape(-1)[:: w + 1])
         if wrong.max() == 0:  # a uint8 max runs several times faster than any()
             return None
         i, j = np.nonzero(wrong)
@@ -427,14 +425,9 @@ def transport(r: BooleanRealizer, forward: np.ndarray) -> BooleanRealizer:
     f = np.asarray(forward, dtype=np.int64)
     if f.shape != (r.n,):
         raise SizeMismatch(f"forward map has shape {f.shape}, realizer {r.n} elements")
-    if not np.array_equal(np.sort(f), np.arange(r.n)):
-        raise BadParameter("forward map must be a bijection")
-    orders = []
-    for o in r.orders:
-        rank = np.empty_like(o.rank)
-        rank[f] = o.rank
-        orders.append(LinearOrder(rank=rank))
-    return BooleanRealizer(n=r.n, orders=tuple(orders), phi=r.phi)
+    back = _inverse(f, "forward map must be a bijection")
+    orders = tuple(LinearOrder._of(o.rank[back]) for o in r.orders)
+    return BooleanRealizer(n=r.n, orders=orders, phi=r.phi)
 
 
 def upper_bound_realizer(n: int) -> BooleanRealizer:

@@ -178,3 +178,33 @@ class TestSignatureInjectivityForVerifiedRealizers:
         r = pd.upper_bound_realizer(n)
         sig = pd.signature_map(list(r.orders), pd.singletons_of_grid(n, 2))
         assert pd.signature_collision(sig) is None
+
+
+def collision_reference(sig):
+    """The first repeated signature by grouping rows: the least x in a class
+    of two or more rows, and the next member of that class."""
+    rows = np.ascontiguousarray(sig)
+    classes = {}
+    for x in range(rows.shape[0]):
+        classes.setdefault(rows[x].tobytes(), []).append(x)
+    best = None
+    for members in classes.values():
+        if len(members) >= 2 and (best is None or members[0] < best[0]):
+            best = (members[0], members[1])
+    return best
+
+
+@pytest.mark.parametrize("planted", range(4))
+def test_collision_matches_grouping_reference(planted):
+    rng = np.random.default_rng(planted)
+    for _ in range(200):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        sig = rng.integers(0, 10**6, size=(n, d))
+        for _ in range(planted if n >= 2 else 0):
+            a, b = rng.choice(n, 2, replace=False)
+            sig[b] = sig[a]
+        got = pd.signature_collision(sig)
+        assert got == collision_reference(sig)
+        assert got is None or all(type(v) is int for v in got)
+    small = rng.integers(0, 3, size=(30, 2))  # many classes of many members
+    assert pd.signature_collision(small) == collision_reference(small)

@@ -7,8 +7,9 @@ import pytest
 
 import posetdim as pd
 from posetdim import b6_data
+from posetdim import cli
 from posetdim.cli import main
-from posetdim.formats import parse_realizer, serialize_realizer
+from posetdim.formats import parse_poset_spec, parse_realizer, serialize_realizer
 
 
 def run(capsys, *argv):
@@ -33,6 +34,33 @@ class TestVerifyCommand:
         assert code == 1
         assert out.startswith("counterexample:")
         assert "expected=" in out and "got=" in out
+
+    def test_lattice_counterexample_builds_no_labels(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The two labels printed are formatted from the elements' bits, so
+        # none of the 4,096 labels of B12 is built.
+        made = []
+
+        def spec(text):
+            made.append(parse_poset_spec(text))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "parse_poset_spec", spec)
+        r = pd.upper_bound_realizer(12)
+        bits = r.phi.bits ^ (np.arange(1 << r.d) == 5)
+        tampered = pd.BooleanRealizer(
+            n=r.n, orders=r.orders, phi=pd.TruthTable(arity=r.d, bits=bits)
+        )
+        path = tmp_path / "b12.realizer"
+        path.write_text(serialize_realizer(tampered))
+        code, out, _ = run(capsys, "verify", "boolean:12", str(path))
+        assert code == 1
+        assert out == (
+            "counterexample: x=9 ({1,4}) y=2 ({2}) "
+            "tuple=1010000000 expected=0 got=1\n"
+        )
+        assert "labels" not in vars(made[0])
 
     def test_size_mismatch_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "r.realizer"
@@ -123,6 +151,25 @@ class TestBoundsCommand:
 
 
 class TestSignaturesCommand:
+    def test_lattice_collision_labels_from_bits(self, capsys, monkeypatch):
+        made = []
+
+        def spec(text):
+            made.append(parse_poset_spec(text))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "parse_poset_spec", spec)
+        code, out, _ = run(
+            capsys, "signatures", "boolean:6", "builtin:b6", "--dset", "1"
+        )
+        labels = pd.boolean_lattice(6).labels
+        x, y = pd.signature_collision(
+            pd.signature_map(list(pd.b6_realizer().orders), [1])
+        )
+        assert code == 1
+        assert out.startswith(f"collision: x={x} ({labels[x]}) y={y} ({labels[y]}) ")
+        assert "labels" not in vars(made[0])
+
     def test_b6_injective(self, capsys):
         code, out, _ = run(capsys, "signatures", "boolean:6", "builtin:b6")
         assert code == 0

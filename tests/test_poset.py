@@ -22,7 +22,7 @@ from posetdim.errors import (
     IndexOutOfRange,
     SizeCap,
 )
-from posetdim.poset import strict_cover_pairs
+from posetdim.poset import _subset_labels, element_label, strict_cover_pairs
 
 from corpus import dim_corpus, five_element_posets, four_element_posets
 
@@ -480,6 +480,70 @@ class TestLinearExtensions:
             exts, truncated = pd.linear_extensions(p, limit=2000)
             assert not truncated, name
             assert all(pd.is_linear_extension(p, e) for e in exts), name
+
+
+class TestLinearOrderBijection:
+    """LinearOrder, from_sequence and transport share one scatter check; it
+    accepts any 1-D array whose values are a permutation of 0..n-1, of any
+    dtype, and raises BadParameter for anything else."""
+
+    @pytest.mark.parametrize(
+        "values,ok",
+        [
+            (np.array([1.0, 0.0, 2.0]), True),   # integral floats
+            (np.array([0.5, 1.0, 2.0]), False),  # a non-integral float
+            (np.array([True, False]), True),     # bools
+            (np.array([], dtype=np.int64), True),
+            ([], True),                          # empty, as float64
+            ([0, 2, 0], False),                  # a repeat
+            ([-1, 0, 1], False),                 # negative
+            ([0, 1, 3], False),                  # out of range
+            ([[0, 1], [1, 0]], False),           # 2-D
+            ([[0]], False),
+            (np.array([np.nan, 0.0]), False),
+            (np.array(["1", "0"]), False),
+        ],
+    )
+    def test_accepted_set(self, values, ok):
+        ints = np.asarray(values).astype(np.int64) if ok else None
+        for build, message in (
+            (lambda v: pd.LinearOrder(rank=v), "rank must be a bijection onto 0..n-1"),
+            (pd.LinearOrder.from_sequence, "sequence must list each of 0..n-1 once"),
+        ):
+            if not ok:
+                with pytest.raises(BadParameter, match=message):
+                    build(values)
+                continue
+            order = build(values)
+            assert order.rank.dtype == np.int64 and not order.rank.flags.writeable
+            if build is pd.LinearOrder.from_sequence:
+                assert np.array_equal(order.sequence(), ints)
+            else:
+                assert np.array_equal(order.rank, ints)
+
+    def test_transport_checks_its_forward_map(self):
+        r = pd.upper_bound_realizer(2)
+        for bad in ([0, 0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2]):
+            with pytest.raises(BadParameter, match="forward map must be a bijection"):
+                pd.transport(r, np.array(bad))
+        forward = np.array([2, 0, 3, 1])
+        moved = pd.transport(r, forward)
+        for old, new in zip(r.orders, moved.orders):
+            assert np.array_equal(new.rank[forward], old.rank)
+
+
+class TestElementLabel:
+    def test_lattice_labels_from_bits(self):
+        p = pd.boolean_lattice(13)
+        labels = _subset_labels(8192)
+        assert all(element_label(p, x) == labels[x] for x in range(8192))
+        assert "labels" not in vars(p)
+
+    def test_other_posets_read_their_labels(self):
+        p = pd.standard_example(3)
+        assert [element_label(p, x) for x in range(6)] == list(p.labels)
+        q = pd.boolean_lattice(0)
+        assert element_label(q, 0) == "{}" == q.labels[0]
 
 
 class TestBlockDecomposition:

@@ -669,6 +669,26 @@ def relabelled_pairs(rng, n):
     ]
 
 
+def family_posets():
+    """(poset, matrix) of each family constructor that packs rows, with the
+    matrix built independently of it."""
+    grid = np.array([(v % 3, v // 3) for v in range(9)])  # coordinate 1 first
+    grid_leq = (grid[:, None, :] <= grid[None, :, :]).all(axis=2)
+    chain3 = np.triu(np.ones((3, 3), bool))
+    standard = np.eye(10, dtype=bool)
+    standard[:5, 5:] = ~np.eye(5, dtype=bool)
+    keep = [0, 2, 3, 5, 6, 8]
+    return [
+        (pd.chain(9), np.triu(np.ones((9, 9), bool))),
+        (pd.antichain(17), np.eye(17, dtype=bool)),
+        (pd.standard_example(5), standard),
+        (pd.multiset_grid(2, 3), grid_leq),
+        (pd.product(pd.chain(3), pd.antichain(3)), np.kron(chain3, np.eye(3, dtype=bool))),
+        (pd.product(pd.chain(3), pd.multiset_grid(2, 3)), np.kron(chain3, grid_leq)),
+        (pd.subposet(pd.multiset_grid(2, 3), keep), grid_leq[np.ix_(keep, keep)]),
+    ]
+
+
 class TestPackedRelation:
     """A poset from relation pairs holds packed bit rows; verify reads them
     block by block, the converse block too, and never unpacks the matrix."""
@@ -711,12 +731,24 @@ class TestPackedRelation:
         assert len(seen) == 4  # each mode both passed and failed
 
     def test_blocks_match_the_matrix(self):
-        # Every block, at every bit offset into the packed bytes.
+        # Every block, at every bit offset into the packed bytes, of every
+        # poset that holds rows: closed from pairs, built by a family
+        # constructor, or wrapped from any bool matrix.
         rng = random.Random(17)
+        cases = []
         for n in (1, 7, 8, 9, 17, 24):
             pairs = relabelled_pairs(rng, n)
-            p = pd.from_relation_pairs(n, None, pairs)
             leq = pd.from_relation_pairs(n, None, pairs).leq
+            cases.append((pd.from_relation_pairs(n, None, pairs), leq))
+            # Neither reflexive nor antisymmetric, in general.
+            wild = np.array([[rng.random() < 0.4 for _ in range(n)] for _ in range(n)])
+            cases.append((pd.Poset(n, wild, tuple(map(str, range(n)))), wild))
+        cases += family_posets()
+        wrapped = 0
+        for p, leq in cases:
+            n = p.n
+            kept = "leq" in vars(p)  # only Poset(n, leq, labels) keeps one
+            wrapped += kept
             for a in range(n):
                 for b in range(a + 1, n + 1):
                     for c in range(0, n, 3):
@@ -724,7 +756,40 @@ class TestPackedRelation:
                         assert np.array_equal(p._relation(rows, cols), leq[rows, cols])
                         converse = p._converse(rows, cols)
                         assert np.array_equal(converse, leq[cols, rows].T)
-            assert "leq" not in vars(p)
+            assert np.array_equal(p.leq, leq)
+            assert p.leq is leq if kept else not p.leq.flags.writeable
+        assert wrapped == 6
+
+    @pytest.mark.parametrize("cells", (1, 7, 36, None))
+    def test_diagonal_plant_at_chunk_ends(self, monkeypatch, cells):
+        # leq[x, x] = False at the first or last row of a chunk, or both:
+        # reflexive mode reads it from bit 0 of the chunk's code there.
+        if cells is not None:
+            monkeypatch.setattr(realizer_module, "_CHUNK_CELLS", cells)
+        n = 12
+        rng = random.Random(f"diagonal{cells}")
+        base = index_ordered_leq(rng, n)
+        r, _ = pairwise_realizer(rng, base)
+        step = max(1, realizer_module._CHUNK_CELLS // n)
+        for start in range(0, n, step):
+            last = min(start + step, n) - 1
+            for planted in ({start}, {last}, {start, last}):
+                leq = base.copy()
+                for x in planted:
+                    leq[x, x] = False
+                found = assert_matches_oracle(as_poset(leq), r)
+                c = found[REFLEXIVE_INCLUSIVE]
+                assert (c.x, c.y) == (min(planted),) * 2 and not c.expected
+                assert found[DISTINCT_ONLY] is None
+
+    def test_verify_of_each_family_builds_no_matrix(self):
+        rng = random.Random(5)
+        posets = [p for p, _ in family_posets()] + [pd.boolean_lattice(4)]
+        for p in posets:
+            r = random_realizer(rng, p.n)
+            for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+                pd.verify(p, r, mode, threads=2)
+            assert "leq" not in vars(p), p
 
     def test_verify_of_a_parsed_file_builds_no_matrix(self):
         from posetdim.formats import parse_poset, serialize_poset
