@@ -110,18 +110,19 @@ def cmd_build_upper(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     n_range = _parse_range(args.n)
     m_range = _parse_range(args.m)
+    # ranges ascend: checked before the header, so a usage error prints nothing
+    if n_range and n_range[0] < 1:
+        raise UsageError("bounds need n >= 1")
+    if n_range and m_range and m_range[0] < 1:
+        raise UsageError("bounds need m >= 1")
     header = (
         f"{'n':>4} {'m':>4} {'|D|':>6} {'raw_bound':>12} "
         f"{'int_bound':>9}  {'formula':<12} {'min_m':>8}"
     )
     print(header)
     for n in n_range:
-        if n < 1:
-            raise UsageError("bounds need n >= 1")
         min_m = str(bounds_mod.min_multiplicity_for_target(n, n)) if n >= 2 else "-"
         for m in m_range:
-            if m < 1:
-                raise UsageError("bounds need m >= 1")
             report = (
                 bounds_mod.lat_lower_bound(n)
                 if m == 2

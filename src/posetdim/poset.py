@@ -323,24 +323,29 @@ def element_label(p: Poset, x: int) -> str:
 
 
 def grid_coordinates(n: int, m: int) -> np.ndarray:
-    """(m**n, n) array of grid vectors under the mixed-radix encoding."""
-    idx = np.arange(m**n)
+    """(m**n, n) array of grid vectors under the mixed-radix encoding.  n and
+    m are checked first: BadParameter below 1, SizeCap past MAX_ELEMENTS."""
+    if n < 1 or m < 1:
+        raise BadParameter(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    _capped_size(n)  # coordinates, before any vector is built
+    idx = np.arange(_capped_size(m, n))
     return np.stack([(idx // m**i) % m for i in range(n)], axis=1)
 
 
 def multiset_grid(n: int, m: int) -> Poset:
-    """Vectors in ``{0..m-1}**n`` under the coordinatewise order."""
-    if n < 1 or m < 1:
-        raise BadParameter(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    _capped_size(n)  # coordinates, before any vector is built
-    size = _capped_size(m, n)
+    """Vectors in ``{0..m-1}**n`` under the coordinatewise order.  Its packed
+    rows come from the coordinates a row block at a time, with no matrix."""
     coords = grid_coordinates(n, m)
-    leq = np.ones((size, size), dtype=bool)
-    for i in range(n):
-        c = coords[:, i]
-        leq &= c[:, None] <= c[None, :]
+    size = len(coords)
+    packed = np.empty((size, (size + 7) // 8), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // size)
+    for a in range(0, size, step):
+        block = np.ones((min(step, size - a), size), dtype=bool)
+        for c in coords.T:
+            block &= c[a : a + step, None] <= c
+        packed[a : a + step] = np.packbits(block, axis=1, bitorder="little")
     labels = ["(" + ",".join(str(v) for v in row) + ")" for row in coords]
-    return _make(leq, labels)
+    return _lazy(size, labels, _freeze(packed))
 
 
 def standard_example(n: int) -> Poset:

@@ -31,7 +31,6 @@ from .poset import (
     block_decomposition_iso,
     grid_coordinates,
     is_linear_extension,
-    multiset_grid,
 )
 
 #: Verification modes.  The default additionally requires phi(1,...,1) = 1,
@@ -334,14 +333,13 @@ def canonical_grid_realizer(n: int, m: int) -> BooleanRealizer:
     Order i sorts by coordinate i ascending, breaking ties by the full
     coordinate vector ascending lexicographically (coordinate 1 first).
     """
-    grid = multiset_grid(n, m)  # validates parameters and the size cap
-    coords = grid_coordinates(n, m)
+    coords = grid_coordinates(n, m)  # validates parameters and the size cap
     orders = []
     for i in range(n):
         keys = tuple(coords[:, j] for j in reversed(range(n))) + (coords[:, i],)
         seq = np.lexsort(keys)
         orders.append(LinearOrder.from_sequence(seq))
-    return BooleanRealizer(n=grid.n, orders=tuple(orders), phi=and_function(n))
+    return BooleanRealizer(n=len(coords), orders=tuple(orders), phi=and_function(n))
 
 
 def b6_realizer() -> BooleanRealizer:

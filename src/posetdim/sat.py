@@ -7,15 +7,14 @@ to the required answer.  A small complete DPLL solver handles desk-scale
 instances; bigger ones go to an external solver through DIMACS files, whose
 models are re-checked locally before being trusted.
 
-Variable ids follow a closed form (see VarMap) and clauses live in flat
-integer arrays (see ClauseArray), so encoding, DIMACS export, model checks
-and decoding are array operations rather than per-literal Python work.
-The encoder writes its int32 literals in place, each order's by
-closed-form arithmetic on order 0's, and allocates nothing else the size
-of the instance.  Model checks, DIMACS export and the solver load work a
-run of equal-width clauses at a time, in slices of rows, so they allocate
-per slice, not per literal; DIMACS export gathers one fixed-width token
-slot per literal, so it never indexes individual bytes.
+Variable ids follow a closed form (see VarMap) and clauses live in one flat
+int32 array, read as blocks of equal-width clauses (see ClauseArray), so
+encoding, DIMACS export, model checks and decoding are array operations
+rather than per-literal Python work.  The encoder writes its literals in
+place, each order's by closed-form arithmetic on order 0's.  Model checks,
+DIMACS export and the solver load work a block at a time, in slices of
+rows, so they allocate per slice, not per literal; DIMACS export gathers
+one fixed-width token slot per literal, so it never indexes bytes.
 
 The encoder marks the clause copies it writes (CnfInstance.copies), and the
 internal solver loads each marked copy once; parsed and hand-built CNFs carry
@@ -30,9 +29,9 @@ import gc
 import shlex
 import subprocess
 import tempfile
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -105,26 +104,40 @@ class VarMap:
 
 @dataclass(frozen=True, eq=False)
 class ClauseArray:
-    """Clauses stored flat: clause k is ``lits[offsets[k]:offsets[k + 1]]``."""
+    """Clauses stored flat in ``lits``, in clause order.  ``blocks`` are the
+    maximal runs of equal-width clauses, in order, each a (clauses, width)
+    view of ``lits``; a width-0 block holds empty clauses."""
 
     lits: np.ndarray  # int32
-    offsets: np.ndarray  # int64, length len(self) + 1, offsets[0] == 0
+    blocks: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_lists(cls, clauses: list[list[int]]) -> "ClauseArray":
-        widths = np.fromiter(map(len, clauses), np.int64, len(clauses))
-        lits = np.fromiter(chain.from_iterable(clauses), np.int32, int(widths.sum()))
-        return cls(lits, np.concatenate(([0], np.cumsum(widths))))
+    def from_runs(cls, lits: np.ndarray, runs: Iterable[Sequence[int]]) -> ClauseArray:
+        """lits cut into runs of (clauses, width), in order; adjacent runs of
+        one width are merged and empty ones dropped."""
+        blocks, start = [], 0
+        for count, width in runs:
+            if blocks and blocks[-1].shape[1] == width:  # merge into the last
+                count += len(blocks[-1])
+                start -= blocks.pop().size
+            if count:
+                blocks.append(lits[start : start + count * width].reshape(count, width))
+                start += count * width
+        return cls(lits, tuple(blocks))
+
+    @classmethod
+    def from_lists(cls, clauses: list[list[int]]) -> ClauseArray:
+        runs = [(len(list(g)), w) for w, g in groupby(map(len, clauses))]
+        return cls.from_runs(np.fromiter(chain.from_iterable(clauses), np.int32), runs)
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return sum(map(len, self.blocks))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClauseArray):
             return NotImplemented
-        return np.array_equal(self.lits, other.lits) and np.array_equal(
-            self.offsets, other.offsets
-        )
+        shapes = lambda c: [b.shape for b in c.blocks]
+        return shapes(self) == shapes(other) and np.array_equal(self.lits, other.lits)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -134,8 +147,8 @@ class CnfInstance:
     """A CNF; ``copies[k]`` is True where clause k repeats an earlier clause's
     literal set.  The encoder marks its copies; by default none is marked.
 
-    An empty clause is rejected, found by comparing adjacent offsets with no
-    per-clause width array."""
+    Checked once, at construction: no clause is empty and every literal
+    names a variable in 1..num_vars (BadParameter)."""
 
     num_vars: int
     clauses: ClauseArray  # a list of int lists is converted on construction
@@ -145,9 +158,11 @@ class CnfInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.clauses, ClauseArray):
             self.clauses = ClauseArray.from_lists(self.clauses)
-        offsets = self.clauses.offsets
-        if (offsets[1:] == offsets[:-1]).any():
+        lits = self.clauses.lits
+        if any(block.shape[1] == 0 for block in self.clauses.blocks):
             raise BadParameter("empty clause at construction")
+        if np.count_nonzero(lits) < len(lits) or _largest_id(lits) > self.num_vars:
+            raise BadParameter(f"a literal is 0 or above num_vars = {self.num_vars}")
         if self.copies is None:
             self.copies = np.zeros(len(self.clauses), dtype=bool)
         shape = np.shape(self.copies)
@@ -191,7 +206,9 @@ def encode_bdim_sat(
     the reflexive unit.
 
     Clause counts and widths are known from n, d and phi, so the int32
-    literals and int64 offsets are allocated once and written in place.
+    literals are allocated once and written in place, and the three runs
+    of equal width (transitivity, 3; linking, d, or d + 1 with phi free;
+    units, 1) are the ClauseArray's blocks, merged where two widths meet.
     Literals are closed-form arithmetic: order 0's come from one (n, n)
     table of signed literals, gathered at int32 cell indices of the distinct
     triples and pairs, and order i's are order 0's moved by sign * i*C(n,2)
@@ -271,14 +288,9 @@ def encode_bdim_sat(
             units = [varmap.num_vars, -varmap.num_vars]
 
     n_trans, n_link = d * len(triples), len(link_pair)
-    offsets = np.empty(n_trans + n_link + len(units) + 1, dtype=np.int64)
-    offsets[0] = 0
-    offsets[1 : n_trans + 1] = 3
-    offsets[n_trans + 1 : n_trans + n_link + 1] = link_width
-    offsets[n_trans + n_link + 1 :] = 1
-    np.cumsum(offsets, out=offsets)
-    lits = np.empty(offsets[-1], dtype=np.int32)
-    copies = np.zeros(len(offsets) - 1, dtype=bool)
+    runs = [(n_trans, 3), (n_link, link_width), (len(units), 1)]
+    lits = np.empty(sum(count * width for count, width in runs), dtype=np.int32)
+    copies = np.zeros(n_trans + n_link + len(units), dtype=bool)
 
     trans = lits[: 3 * n_trans].reshape(d, len(triples), 3)
     trans[0] = before.ravel()[triples]
@@ -286,7 +298,7 @@ def encode_bdim_sat(
         _shift_to_order(trans[0], i, pairs, out=trans[i])
     copies[:n_trans].reshape(d, len(triples))[:] = x_not_least
 
-    link = lits[3 * n_trans : offsets[n_trans + n_link]].reshape(-1, link_width)
+    link = lits[3 * n_trans : lits.size - len(units)].reshape(n_link, link_width)
     pair_lits = before[px, py]
     order_lits = np.empty_like(pair_lits)
     for i in range(d):
@@ -298,8 +310,9 @@ def encode_bdim_sat(
     else:
         copies[n_trans : n_trans + n_link] = ((px > py)[:, None] & mirrored)[written]
 
-    lits[offsets[n_trans + n_link] :] = units
-    return CnfInstance(varmap.num_vars, ClauseArray(lits, offsets), varmap, copies)
+    lits[lits.size - len(units) :] = units
+    clauses = ClauseArray.from_runs(lits, runs)
+    return CnfInstance(varmap.num_vars, clauses, varmap, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +325,14 @@ def check_model(
     """True iff the assignment satisfies every clause (an empty clause never
     is).
 
-    Checked one run of equal-width clauses (see _width_runs) at a time, in
-    slices of rows, so the check allocates per slice, not per literal of
+    Checked one block of equal-width clauses (see ClauseArray) at a time,
+    in slices of rows, so the check allocates per slice, not per literal of
     the instance, and stops at the first slice with a false clause.
     """
     if not isinstance(clauses, ClauseArray):
         clauses = ClauseArray.from_lists(clauses)
     value = np.asarray(assignment, dtype=bool)
-    for _, block in _width_runs(clauses):
+    for block in clauses.blocks:
         for rows in _row_slices(block):
             true = value[np.abs(rows)] == (rows > 0)
             satisfied = np.zeros(len(rows), dtype=bool)
@@ -366,28 +379,7 @@ def _literal_table(
     return values, lambda a: np.searchsorted(values, a)
 
 
-_RUN_WINDOW = 1 << 16  # clauses whose widths are compared at once
 _SLICE_ROWS = 1 << 16  # clauses checked, gathered or written at once
-
-
-def _width_runs(clauses: ClauseArray) -> Iterator[tuple[int, np.ndarray]]:
-    """(id of the first clause, one clause per row) for each maximal run of
-    clauses of equal width, in input order.
-
-    Run ends are found a window of offsets at a time (the window from
-    clause lo - 1 on finds the ends at lo and after), so no per-clause array
-    of the whole instance is built.
-    """
-    offsets, count = clauses.offsets, len(clauses)
-    ends = []
-    for lo in range(1, count, _RUN_WINDOW):
-        widths = np.diff(offsets[lo - 1 : lo + _RUN_WINDOW + 1])
-        ends += (np.flatnonzero(widths[1:] != widths[:-1]) + lo).tolist()
-    bounds = [0, *ends, count]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if a < b:
-            block = clauses.lits[offsets[a] : offsets[b]]
-            yield a, block.reshape(b - a, -1)
 
 
 def _row_slices(block: np.ndarray) -> Iterator[np.ndarray]:
@@ -409,17 +401,19 @@ def _solver_clauses(
     with another: an unmarked duplicate is loaded again, which changes
     neither the search nor its model.  A repeated literal is kept once (its
     first occurrence) and a tautology is dropped, so a variable that occurs
-    only in tautologies is not used.  One sort of |literals| per run of equal
-    width finds the rows with a repeat; they are reduced on a Python path,
-    after the run's other rows.  The lists share one int object per literal
-    value, gathered a slice of rows at a time, and the first two literals of
-    each list are its watches (see internal_sat_solve).
+    only in tautologies is not used.  One sort of |literals| per block of
+    equal width finds the rows with a repeat; they are reduced on a Python
+    path, after the block's other rows.  The lists share one int object per
+    literal value, gathered a slice of rows at a time, and the first two
+    literals of each list are its watches (see internal_sat_solve).
     """
     top = _largest_id(cnf.clauses.lits)
     used = np.zeros(top + 1, dtype=bool)
-    runs = []  # (rows without a repeated variable, reduced rows) per run
-    for a, block in _width_runs(cnf.clauses):
-        block = block[~cnf.copies[a : a + len(block)]]
+    runs = []  # (rows without a repeated variable, reduced rows) per block
+    end = 0  # the clause index after the block
+    for block in cnf.clauses.blocks:
+        end += len(block)
+        block = block[~cnf.copies[end - len(block) : end]]
         ids = np.sort(np.abs(block), axis=1)
         repeats = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
         reduced = []
@@ -507,12 +501,9 @@ def internal_sat_solve(
     that occurs in no clause is set True in the model, the value that
     decision would give it.  A sat model, a bool array indexed by id, is
     post-checked against every clause of cnf, copies included, before being
-    returned; exceeding conflict_limit yields status "unknown".  A variable
-    above cnf.num_vars raises BadParameter.
+    returned; exceeding conflict_limit yields status "unknown".
     """
     nvars = cnf.num_vars
-    if _largest_id(cnf.clauses.lits) > nvars:
-        raise BadParameter(f"a clause names a variable above num_vars = {nvars}")
     clauses, units, used = _solver_clauses(cnf)
     top = len(used)
 
@@ -609,7 +600,7 @@ def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
 
     Each literal maps to a precomputed token ("12 ", "-3 "; literal 0 stands
     for the clause terminator "0\\n") held in a fixed-width slot padded with
-    NUL bytes.  For each run of equal-width clauses, a slice of rows at a
+    NUL bytes.  For each block of equal-width clauses, a slice of rows at a
     time (see _row_slices), one gather of slots over a (rows, width + 1)
     index matrix whose last column is the terminator gives the chunk;
     dropping the NULs leaves the text, since no decimal token contains one.
@@ -620,7 +611,7 @@ def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
     end = int(np.searchsorted(values, 0))
     tokens[end] = b"0\n"
     slots = np.array(tokens)  # dtype S<widest token>: shorter ones NUL-padded
-    for _, block in _width_runs(cnf.clauses):
+    for block in cnf.clauses.blocks:
         for rows in _row_slices(block):
             tok = np.full((len(rows), rows.shape[1] + 1), end, dtype=np.intp)
             tok[:, :-1] = position(rows)
@@ -672,7 +663,8 @@ def parse_dimacs(text: str) -> CnfInstance:
     num_vars = None
     expected_clauses = None
     lits: list[int] = []
-    offsets = [0]
+    runs: list[list[int]] = []  # [clauses, width] per run of equal width
+    start = 0  # where the open clause's literals begin
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -692,24 +684,27 @@ def parse_dimacs(text: str) -> CnfInstance:
         for tok in line.split():
             lit = _parse_int(tok)
             if lit == 0:
-                if len(lits) == offsets[-1]:
+                width = len(lits) - start
+                if not width:
                     raise ParseError("empty clause in DIMACS input")
-                offsets.append(len(lits))
+                if runs and runs[-1][1] == width:
+                    runs[-1][0] += 1
+                else:
+                    runs.append([1, width])
+                start = len(lits)
             elif abs(lit) > num_vars:
-                raise ParseError(
-                    f"literal {lit} out of range for {num_vars} variables"
-                )
+                raise ParseError(f"literal {lit} out of range for {num_vars} variables")
             else:
                 lits.append(lit)
-    if len(lits) > offsets[-1]:
+    if len(lits) > start:
         raise ParseError("unterminated clause at end of DIMACS input")
     if num_vars is None:
         raise ParseError("missing DIMACS header")
-    if expected_clauses != len(offsets) - 1:
+    clauses = ClauseArray.from_runs(np.array(lits, dtype=np.int32), runs)
+    if expected_clauses != len(clauses):
         raise ParseError(
-            f"header promises {expected_clauses} clauses, found {len(offsets) - 1}"
+            f"header promises {expected_clauses} clauses, found {len(clauses)}"
         )
-    clauses = ClauseArray(np.array(lits, dtype=np.int32), np.array(offsets))
     return CnfInstance(num_vars=num_vars, clauses=clauses, varmap=VarMap())
 
 

@@ -1,15 +1,27 @@
 """Command-line surface: outputs, exit statuses, and determinism."""
 
+import contextlib
 import hashlib
+import io
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import posetdim as pd
 from posetdim import b6_data
 from posetdim import cli
 from posetdim.cli import main
-from posetdim.formats import parse_poset_spec, parse_realizer, serialize_realizer
+from posetdim.errors import ToolkitError
+from posetdim.formats import (
+    parse_poset_spec,
+    parse_realizer,
+    parse_realizer_spec,
+    serialize_realizer,
+)
 
 
 def run(capsys, *argv):
@@ -148,6 +160,13 @@ class TestBoundsCommand:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "x:y")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["--n", "0"], ["--n", "3", "--m", "0"], ["--n", "0:3"]]
+    )
+    def test_out_of_range_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 2 and out == "" and err.startswith("usage error:")
 
 
 class TestSignaturesCommand:
@@ -383,3 +402,150 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "dump", "builtin:b6")
         _, out2, _ = run(capsys, "dump", "builtin:b6")
         assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# malformed input: every subcommand exits 2, 3 or 4, never with a traceback
+
+
+def _no_n_line(text):
+    return all(ln.strip().partition(" ")[0] != "n" for ln in text.splitlines())
+
+
+def _edited(draw, lines):
+    """lines with up to two dropped and up to two junk lines added (no junk
+    line is an "n" line, so nothing large is sized), joined by newlines."""
+    for _ in range(draw(st.integers(0, 2))):
+        if lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.text(max_size=12).filter(_no_n_line))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
+
+
+@st.composite
+def poset_texts(draw):
+    """A poset document on at most 6 elements, often broken."""
+    idx = st.integers(-1, 7)
+    lines = ["poset v1", f"n {draw(st.integers(-1, 6))}"]
+    lines.append(draw(st.sampled_from(["mode covers", "mode relation", "mode x"])))
+    lines += draw(st.lists(st.builds("rel {} {}".format, idx, idx), max_size=8))
+    lines += draw(
+        st.lists(st.builds("label {} {}".format, idx, st.text(max_size=3)), max_size=2)
+    )
+    return _edited(draw, lines)
+
+
+@st.composite
+def realizer_texts(draw):
+    """A realizer document on at most 6 elements and 3 orders, often broken."""
+    n, d = draw(st.integers(-1, 6)), draw(st.integers(-1, 3))
+    lines = ["realizer v1", f"n {n}", f"d {d}"]
+    for i in range(1, d + 1):
+        seq = draw(
+            st.one_of(
+                st.permutations(range(max(n, 0))),
+                st.lists(st.integers(-1, 7), max_size=7),
+            )
+        )
+        lines.append(f"order {i}: " + " ".join(map(str, seq)))
+    width = 1 << max(d, 0)
+    bits = st.one_of(
+        st.text("01", min_size=width, max_size=width), st.text("012 ", max_size=9)
+    )
+    lines.append("phi " + draw(bits))
+    return _edited(draw, lines)
+
+
+_CLI_SPEC_PARTS = ["boolean", "grid", "standard", "chain", "antichain", "builtin",
+                   "b6", ":", "x", "-", " ", "\0", "٣"]
+
+
+@st.composite
+def cli_specs(draw):
+    """A family spec with a number from -1 to 4 (so every family that
+    resolves has at most 256 elements), or a text of family names,
+    separators, one-digit numbers and free text, with no "/" and no two
+    digits in a row."""
+    number = st.integers(-1, 4)
+    families = st.sampled_from(["boolean", "standard", "chain", "antichain"])
+    well_formed = st.one_of(
+        st.builds("{}:{}".format, families, number),
+        st.builds("grid:{}x{}".format, number, number),
+    )
+    parts = st.one_of(
+        st.sampled_from(_CLI_SPEC_PARTS),
+        st.integers(0, 4).map(str),
+        st.text(max_size=3).filter(lambda t: "/" not in t),
+    )
+    spec = draw(st.one_of(well_formed, st.lists(parts, max_size=5).map("".join)))
+    assume(not re.search(r"\d\d", spec))
+    return spec
+
+
+def _resolves(name, realizer=False):
+    parse = parse_realizer_spec if realizer else parse_poset_spec
+    try:
+        parse(name)
+    except ToolkitError:
+        return False
+    return True
+
+
+def _exit_code(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's own usage
+    error, raised for a name that looks like a flag, counts as its exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestMalformedInput:
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(["verify", "signatures", "exact", "sat", "dump"]),
+        st.one_of(cli_specs(), st.just("p.poset")),
+        st.one_of(cli_specs(), st.just("r.realizer"), st.just("builtin:b6")),
+        poset_texts(),
+        realizer_texts(),
+        st.data(),
+    )
+    def test_exit_code_never_traceback(
+        self, command, poset, realizer, poset_text, realizer_text, data
+    ):
+        # The documents sit in p.poset and r.realizer of an empty working
+        # directory, where a spec that names no family is read as a path.
+        if command in ("verify", "signatures"):
+            argv = [command, poset, realizer]
+        elif command == "exact":
+            argv = [command, poset, data.draw(st.sampled_from(["dim", "bdim"]))]
+        elif command == "sat":
+            d = str(data.draw(st.integers(0, 3)))
+            argv = [command, poset, "--d", d, "--engine", "emit", "--out", "o.cnf"]
+        else:
+            argv = [command, data.draw(st.sampled_from([poset, realizer]))]
+        here = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                with open("p.poset", "w", encoding="utf-8") as fh:
+                    fh.write(poset_text)
+                with open("r.realizer", "w", encoding="utf-8") as fh:
+                    fh.write(realizer_text)
+                if command == "dump":
+                    ok = _resolves(argv[1], argv[1].startswith("builtin:"))
+                else:
+                    ok = _resolves(poset)
+                    if command in ("verify", "signatures"):
+                        ok = ok and _resolves(realizer, True)
+                code, out, err = _exit_code(argv)
+            finally:
+                os.chdir(here)
+        assert code in (0, 1, 2, 3, 4), (argv, err)
+        if not ok:
+            assert code in (2, 3, 4) and err.startswith(("usage", "error:")), argv

@@ -317,6 +317,17 @@ class TestMultisetGrid:
                 pd.multiset_grid(n, m)
         assert pd.multiset_grid(8192, 1).n == 1
 
+    def test_packed_rows_built_by_blocks(self):
+        # 4,096 elements: 2 MiB of packed rows and row blocks of 2**18 cells,
+        # against 16 MiB for the dense matrix.
+        tracemalloc.start()
+        try:
+            p = pd.multiset_grid(12, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.n == 4096 and peak < 8 * 2**20
+
 
 class TestStandardExample:
     def test_n2_two_disjoint_chains(self):

@@ -897,6 +897,17 @@ class TestCanonicalGridRealizer:
     def test_verifies_on_boolean_lattice(self, n):
         assert pd.verify(pd.boolean_lattice(n), pd.canonical_grid_realizer(n, 2)).ok
 
+    @pytest.mark.parametrize(
+        "n, m, error",
+        [(0, 2, BadParameter), (2, 0, BadParameter), (5, 7, SizeCap),
+         (30_000_000, 1, SizeCap)],
+    )
+    def test_rejects_what_the_grid_rejects(self, n, m, error):
+        with pytest.raises(error):
+            pd.multiset_grid(n, m)
+        with pytest.raises(error):
+            pd.canonical_grid_realizer(n, m)
+
 
 class TestB6Realizer:
     def test_orders_need_not_be_extensions(self):

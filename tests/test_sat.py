@@ -30,11 +30,11 @@ from posetdim.errors import (
 from posetdim.formats import parse_poset_spec
 from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
 from posetdim.sat import (
+    ClauseArray,
     CnfInstance,
     VarMap,
     _literal_table,
     _solver_clauses,
-    _width_runs,
     check_model,
     internal_sat_solve,
     parse_dimacs,
@@ -171,7 +171,7 @@ class TestAgainstLoopReference:
                         zero):
                 cnf = pd.encode_bdim_sat(p, d, fixed_phi=phi, mode=mode)
                 want = _loop_encode(p, d, phi, mode)
-                assert cnf.clauses == CnfInstance(0, want, VarMap()).clauses, (d, phi)
+                assert cnf.clauses == ClauseArray.from_lists(want), (d, phi)
 
     def test_check_model_matches_loop_check(self):
         import random
@@ -227,10 +227,16 @@ class TestInternalSolver:
         result = internal_sat_solve(CnfInstance(12, clauses, VarMap()), conflict_limit=2)
         assert result.status == "unknown"
 
-    @pytest.mark.parametrize("clauses", [[[3]], [[1, -3]], [[3, -3]]])
+    @pytest.mark.parametrize("clauses", [[[3]], [[1, -3]], [[3, -3]], [[1, 0, 2]]])
     def test_variable_above_num_vars_rejected(self, clauses):
         with pytest.raises(BadParameter):
             internal_sat_solve(CnfInstance(2, clauses, VarMap()))
+
+    @pytest.mark.parametrize("clauses", [[[]], [[1], []]])
+    def test_empty_clause_rejected_at_construction(self, clauses):
+        with pytest.raises(BadParameter, match="empty clause"):
+            CnfInstance(2, clauses, VarMap())
+        assert not check_model(clauses, [False, True, True])
 
     def test_b3_and_roundtrip(self):
         p = pd.boolean_lattice(3)
@@ -429,9 +435,8 @@ class TestEncoderCopies:
         seen_copies = seen_aux = 0
         for spec, cnf in _encoder_cases():
             seen, want = set(), []
-            lits, offsets = cnf.clauses.lits.tolist(), cnf.clauses.offsets.tolist()
-            for a, b in zip(offsets[:-1], offsets[1:]):
-                key = frozenset(lits[a:b])
+            for clause in _clause_lists(cnf.clauses):
+                key = frozenset(clause)
                 want.append(key in seen)
                 seen.add(key)
             assert cnf.copies.tolist() == want, (spec, cnf.varmap)
@@ -460,6 +465,17 @@ class TestEncoderCopies:
         )
 
 
+def _clause_lists(clauses):
+    """The clauses of a ClauseArray as int lists, in clause order."""
+    return [row for block in clauses.blocks for row in block.tolist()]
+
+
+def _offsets(clauses):
+    """int64 start of each clause in lits, then len(lits)."""
+    widths = [np.full(len(block), block.shape[1]) for block in clauses.blocks]
+    return np.concatenate([[0], *widths]).cumsum()
+
+
 def _traced_peak(fn, *args):
     """(fn(*args), peak traced allocation in bytes while it ran)."""
     tracemalloc.start()
@@ -474,8 +490,8 @@ def _little_endian_sha(a):
 
 
 # SHA-256 of the little-endian bytes of the B6, d = 5 instance's lits,
-# offsets and copies, recorded from the encoder that stacked per-order
-# blocks and concatenated them.
+# clause offsets (now rebuilt from the block shapes) and copies, recorded
+# from the encoder that stacked per-order blocks and concatenated them.
 B6_D5_ARRAYS = {
     "free": (
         "c78b774ec81484ac893b5df30f635e79ff90a8a7505ab5f6cdc9cad92668bd87",
@@ -495,16 +511,17 @@ class TestB6Encoding:
     def test_arrays_pinned(self, phi):
         fixed = None if phi == "free" else pd.threshold_at_most_one_zero(5)
         cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5, fixed_phi=fixed)
-        arrays = (cnf.clauses.lits, cnf.clauses.offsets, cnf.copies)
+        arrays = (cnf.clauses.lits, _offsets(cnf.clauses), cnf.copies)
         assert [a.dtype for a in arrays] == [np.int32, np.int64, bool]
         assert tuple(map(_little_endian_sha, arrays)) == B6_D5_ARRAYS[phi]
 
     def test_encoder_peak(self):
-        # The 27.8 MiB of literals and offsets are allocated once; the int32
-        # cell indices of the 249,984 triples and one gather of order 0's
-        # literals (3 MiB each) come on top.
+        # The 17.3 MiB of literals and the 1.3 MiB copies mask are allocated
+        # once, with no per-clause offsets; the int32 cell indices of the
+        # 249,984 triples and one gather of order 0's literals (3 MiB each)
+        # come on top.
         _, peak = _traced_peak(pd.encode_bdim_sat, pd.boolean_lattice(6), 5)
-        assert peak < 52 * 2**20
+        assert peak < 32 * 2**20
 
     def test_check_model_peak(self):
         # A model that satisfies every clause, so that every slice is read.
@@ -669,10 +686,9 @@ class TestDimacsFormats:
         again = parse_dimacs(to_dimacs(cnf))
         assert again.num_vars == cnf.num_vars and again.clauses == cnf.clauses
         model = [bool(mask >> v & 1) for v in range(cnf.num_vars + 1)]
-        lits, offsets = cnf.clauses.lits.tolist(), cnf.clauses.offsets.tolist()
         want = all(
-            any(model[abs(lit)] == (lit > 0) for lit in lits[a:b])
-            for a, b in zip(offsets[:-1], offsets[1:])
+            any(model[abs(lit)] == (lit > 0) for lit in clause)
+            for clause in _clause_lists(cnf.clauses)
         )
         assert check_model(cnf.clauses, model) == want
 
@@ -746,9 +762,9 @@ class TestDimacsWriter:
             assert (tmp_path / f"{k}.cnf").read_bytes() == to_dimacs(cnf).encode()
 
     def test_b6_write_peak_bounded(self, tmp_path):
-        # Chunk-sized gathers only: run ends are found a window of offsets at
-        # a time, with no int64 width per clause (about 10 MB for B6's
-        # 1,287,412 clauses, and as much again for their differences).
+        # Chunk-sized gathers only: the writer walks the instance's blocks,
+        # with no int64 width per clause (about 10 MB for B6's 1,287,412
+        # clauses).
         cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5)
         tracemalloc.start()
         try:
@@ -758,21 +774,38 @@ class TestDimacsWriter:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("window", [1, 2, 5, pd.sat._RUN_WINDOW])
-    def test_width_runs_across_windows(self, monkeypatch, window):
-        # Window edges fall inside runs, at their ends and on one-clause
-        # runs; the runs must be the maximal ones all the same.
-        monkeypatch.setattr(pd.sat, "_RUN_WINDOW", window)
-        rng = np.random.default_rng(window)
+    def test_blocks_are_maximal_views(self):
+        rng = np.random.default_rng(20261019)
         cases = [[], [[1]], [[1, 2]] * 3] + [_random_clauses(rng, 9) for _ in range(40)]
         for clauses in cases:
-            want, a = [], 0
-            for _, group in itertools.groupby(clauses, len):
-                rows = list(group)
-                want.append((a, rows))
-                a += len(rows)
-            arr = CnfInstance(9, clauses, VarMap()).clauses
-            assert [(a, block.tolist()) for a, block in _width_runs(arr)] == want
+            want = [list(group) for _, group in itertools.groupby(clauses, len)]
+            arr = ClauseArray.from_lists(clauses)
+            assert [block.tolist() for block in arr.blocks] == want
+            widths = [block.shape[1] for block in arr.blocks]
+            assert all(a != b for a, b in zip(widths, widths[1:]))
+            assert all(np.shares_memory(block, arr.lits) for block in arr.blocks)
+            assert len(arr) == len(clauses)
+
+    @pytest.mark.parametrize(
+        "spec, d, phi, width",
+        [
+            ("boolean:3", 2, None, 3),  # transitivity and linking, width 3
+            ("boolean:3", 3, "and", 3),
+            ("chain:2", 1, "zero_top", 1),  # linking and the conflict units
+        ],
+    )
+    def test_adjacent_runs_of_one_width_merge(self, spec, d, phi, width):
+        fixed = None
+        if phi == "and":
+            fixed = pd.and_function(d)
+        elif phi == "zero_top":
+            fixed = pd.TruthTable(arity=d, bits=np.array([1, 0], np.uint8))
+        cnf = pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
+        shapes = [block.shape for block in cnf.clauses.blocks]
+        merged = len(cnf.clauses) - (phi is None)  # all but the reflexive unit
+        assert shapes[0] == (merged, width) and len(shapes) == 1 + (phi is None)
+        parsed = parse_dimacs(to_dimacs(cnf))
+        assert parsed.clauses == cnf.clauses
 
 
 def _script(tmp_path, name, body):
@@ -828,6 +861,22 @@ class TestExternalSolver:
         cnf = CnfInstance(2, [[-1, -2]], VarMap())
         with pytest.raises(ModelCheckFailed):
             pd.run_external_solver(cnf, f"{sys.executable} {script} {{cnf}}")
+
+    @pytest.mark.parametrize("num_vars, clauses", [(1, [[1, 2]]), (3, [[1, 0, 2]])])
+    def test_bad_literal_reaches_no_writer_and_no_solver(
+        self, monkeypatch, num_vars, clauses
+    ):
+        # Written out, these were a DIMACS text that parse_dimacs rejects, or
+        # one with more clauses than its header; the model check of a sat
+        # answer raised IndexError.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an instance with a bad literal was written")
+
+        monkeypatch.setattr(pd.sat, "write_dimacs", unreachable)
+        monkeypatch.setattr(pd.sat.subprocess, "run", unreachable)
+        with pytest.raises(BadParameter):
+            cnf = CnfInstance(num_vars, clauses, VarMap())
+            pd.run_external_solver(cnf, "solver {cnf}")
 
     def test_unsat_taken_on_trust(self, tmp_path):
         script = _script(tmp_path, "naysayer.py", 'print("s UNSATISFIABLE")\n')

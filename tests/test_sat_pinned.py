@@ -163,8 +163,8 @@ def _assert_same_search(rng, make_cnf, transform):
     # fixpoint, or a conflict, in any order.
     cases = [(*make_cnf(rng), VarMap()) for _ in range(300)]
     b3 = pd.encode_bdim_sat(pd.boolean_lattice(3), 2)  # pinned above: 56 conflicts
-    b3_clauses = np.split(b3.clauses.lits, b3.clauses.offsets[1:-1])
-    cases.append((b3.num_vars, [c.tolist() for c in b3_clauses], b3.varmap))
+    b3_clauses = [row for block in b3.clauses.blocks for row in block.tolist()]
+    cases.append((b3.num_vars, b3_clauses, b3.varmap))
     seen_conflicts = 0
     for trial, (nv, clauses, varmap) in enumerate(cases):
         once = internal_sat_solve(CnfInstance(nv, clauses, varmap))
@@ -240,8 +240,8 @@ def test_solver_matches_reference_dpll():
     rng = random.Random(20261018)  # the brute-force test's instances
     cases = [(*_random_cnf(rng), VarMap()) for _ in range(400)]
     b3 = pd.encode_bdim_sat(pd.boolean_lattice(3), 2)  # pinned above: 56 conflicts
-    b3_clauses = np.split(b3.clauses.lits, b3.clauses.offsets[1:-1])
-    cases.append((b3.num_vars, [c.tolist() for c in b3_clauses], b3.varmap))
+    b3_clauses = [row for block in b3.clauses.blocks for row in block.tolist()]
+    cases.append((b3.num_vars, b3_clauses, b3.varmap))
     seen_conflicts = 0
     for trial, (nv, clauses, varmap) in enumerate(cases):
         result = internal_sat_solve(CnfInstance(nv, clauses, varmap))
