@@ -786,6 +786,24 @@ class TestDimacsWriter:
             assert all(np.shares_memory(block, arr.lits) for block in arr.blocks)
             assert len(arr) == len(clauses)
 
+    @pytest.mark.parametrize("window", [1, 2, 5, pd.sat._SLICE_ROWS])
+    def test_width_runs_across_windows(self, monkeypatch, window):
+        # Slice edges fall inside blocks, at their ends and on one-clause
+        # blocks; the text written and the model check must not change.
+        monkeypatch.setattr(pd.sat, "_SLICE_ROWS", window)
+        rng = np.random.default_rng(window)
+        cases = [[], [[1]], [[1, 2]] * 3] + [_random_clauses(rng, 9) for _ in range(40)]
+        for clauses in cases:
+            cnf = CnfInstance(9, clauses, VarMap())
+            want = [list(group) for _, group in itertools.groupby(clauses, len)]
+            assert [block.tolist() for block in cnf.clauses.blocks] == want
+            lines = [" ".join(map(str, c + [0])) for c in clauses]
+            text = "".join(f"{line}\n" for line in [f"p cnf 9 {len(clauses)}"] + lines)
+            assert to_dimacs(cnf) == text
+            value = rng.integers(0, 2, size=10).astype(bool)
+            sat = all(any(value[abs(x)] == (x > 0) for x in c) for c in clauses)
+            assert check_model(cnf.clauses, value) == sat
+
     @pytest.mark.parametrize(
         "spec, d, phi, width",
         [
