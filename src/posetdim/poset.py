@@ -24,6 +24,7 @@ implies ``x <= y`` as integers.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -71,39 +72,70 @@ _BLOCK_CELLS = 1 << 18  # cells per row block when a matrix is built or walked
 _BIT_SHIFTS = _freeze(np.arange(8, dtype=np.uint8)[:, None])
 
 
-@dataclass(frozen=True, eq=False)
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of 0..n-1 into row blocks of about _BLOCK_CELLS cells of n
+    columns each, in order."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 class Poset:
     """Immutable finite poset on ``0..n-1``.
 
-    ``leq`` is its relation matrix, read from ``_packed``: (n, ceil(n/8))
-    uint8 rows in which bit ``y % 8`` of byte ``y // 8`` of row x, least
-    significant first, is ``leq[x, y]``.  ``Poset(n, leq, labels)`` packs
-    ``leq`` and keeps it; the constructors here keep only the rows, and
-    build ``leq`` on its first read, cached and read-only.  A Boolean
-    lattice has no rows (None): it reads its relation from the subset
-    encoding, and builds its ``labels`` on their first read too.
+    Its one relation store is ``_packed``: (n, ceil(n/8)) uint8 rows in
+    which bit ``y % 8`` of byte ``y // 8`` of row x, least significant
+    first, is ``leq[x, y]``; or None on a Boolean lattice, which reads its
+    relation from the subset encoding and builds its ``labels`` on their
+    first read.  ``Poset(n, leq, labels)`` packs ``leq`` and keeps no
+    matrix: ``leq`` is built from the store on its first read, cached and
+    read-only.
     """
 
     n: int
-    leq: np.ndarray            # (n, n) bool, read-only
-    labels: tuple[str, ...]
+    _packed: np.ndarray | None
 
-    def __getattr__(self, name: str):
-        # Reached only for an attribute not set: the labels of a lattice, or
-        # the leq of a poset built without one.
-        if name == "labels" and self._packed is None:
-            object.__setattr__(self, "labels", _subset_labels(self.n))
-            return self.labels
-        if name != "leq":
-            raise AttributeError(name)
+    def __init__(self, n: int, leq: np.ndarray, labels: Iterable[str]) -> None:
+        if n < 1:
+            raise BadParameter(f"poset needs at least one element, got n={n}")
+        _capped_size(n)
+        if leq.shape != (n, n) or leq.dtype != np.bool_:
+            raise BadParameter("leq must be an (n, n) bool matrix")
+        labels = tuple(labels)
+        if len(labels) != n:
+            raise BadParameter("labels must have one entry per element")
+        packed = _freeze(np.packbits(leq, axis=1, bitorder="little"))
+        vars(self).update(n=n, labels=labels, _packed=packed)
+
+    @classmethod
+    def _of(
+        cls, n: int, packed: np.ndarray | None, labels: Iterable[str] | None = None
+    ) -> Poset:
+        # Read-only rows this module built, unchecked; or a Boolean lattice
+        # (None), whose labels are left to their first read.
+        p = cls.__new__(cls)
+        vars(p).update(n=n, _packed=packed)
+        if packed is not None:
+            vars(p)["labels"] = tuple(labels)
+        return p
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Poset is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:  # reached only on a Boolean lattice
+        return _subset_labels(self.n)
+
+    @functools.cached_property
+    def leq(self) -> np.ndarray:
+        """The (n, n) bool relation matrix, read-only, unpacked a row block
+        at a time."""
         n = self.n
-        step = max(1, _BLOCK_CELLS // n)
         leq = np.empty((n, n), dtype=bool)
-        for a in range(0, n, step):
-            b = min(a + step, n)
-            leq[a:b] = self._relation(slice(a, b), slice(0, n), leq[a:b])
-        object.__setattr__(self, "leq", _freeze(leq))
-        return self.leq
+        for rows in _row_blocks(n):
+            leq[rows] = self._relation(rows, slice(0, n), leq[rows])
+        return _freeze(leq)
 
     def _relation(
         self,
@@ -139,17 +171,6 @@ class Poset:
         bits = np.bitwise_and(planes, 1, out=planes).reshape(-1, block.shape[0])
         return bits[skip : skip + rows.stop - rows.start].view(bool)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise BadParameter(f"poset needs at least one element, got n={self.n}")
-        _capped_size(self.n)
-        if self.leq.shape != (self.n, self.n) or self.leq.dtype != np.bool_:
-            raise BadParameter("leq must be an (n, n) bool matrix")
-        if len(self.labels) != self.n:
-            raise BadParameter("labels must have one entry per element")
-        packed = np.packbits(self.leq, axis=1, bitorder="little")
-        object.__setattr__(self, "_packed", _freeze(packed))
-
     def check_axioms(self) -> None:
         """Raise unless leq is a partial order: the closure of its own covers.
 
@@ -176,29 +197,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n})"
-
-    def _check_index(self, *xs: int) -> None:
-        for x in xs:
-            if not 0 <= x < self.n:
-                raise IndexOutOfRange(f"element index {x} not in 0..{self.n - 1}")
-
-
-def _make(leq: np.ndarray, labels: list[str] | tuple[str, ...]) -> Poset:
-    p = Poset(n=leq.shape[0], leq=leq, labels=tuple(labels))
-    object.__delattr__(p, "leq")  # keep only the packed rows
-    return p
-
-
-def _lazy(n: int, labels: list[str] | None, packed: np.ndarray | None) -> Poset:
-    """A poset with no matrix, whose leq is built on its first read from
-    ``packed``, or on a Boolean lattice (None) from the subset encoding.  A
-    lattice's labels are None here, and built on their first read."""
-    p = object.__new__(Poset)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "_packed", packed)
-    if labels is not None:
-        object.__setattr__(p, "labels", tuple(labels))
-    return p
 
 
 def _default_labels(n: int) -> list[str]:
@@ -274,7 +272,7 @@ def from_relation_pairs(
             bits |= reach[w]
         reach[v] = bits
         rows[v * nbytes : (v + 1) * nbytes] = bits.to_bytes(nbytes, "little")
-    return _lazy(n, labels, _freeze(packed))
+    return Poset._of(n, _freeze(packed), labels)
 
 
 def _pair_array(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
@@ -300,7 +298,7 @@ def boolean_lattice(n: int) -> Poset:
     ``labels`` is first read."""
     if n < 0:
         raise BadParameter(f"n must be >= 0, got {n}")
-    return _lazy(_capped_size(2, n), None, None)
+    return Poset._of(_capped_size(2, n), None)
 
 
 def _subset_labels(size: int) -> tuple[str, ...]:
@@ -338,14 +336,13 @@ def multiset_grid(n: int, m: int) -> Poset:
     coords = grid_coordinates(n, m)
     size = len(coords)
     packed = np.empty((size, (size + 7) // 8), dtype=np.uint8)
-    step = max(1, _BLOCK_CELLS // size)
-    for a in range(0, size, step):
-        block = np.ones((min(step, size - a), size), dtype=bool)
+    for rows in _row_blocks(size):
+        block = np.ones((rows.stop - rows.start, size), dtype=bool)
         for c in coords.T:
-            block &= c[a : a + step, None] <= c
-        packed[a : a + step] = np.packbits(block, axis=1, bitorder="little")
+            block &= c[rows, None] <= c
+        packed[rows] = np.packbits(block, axis=1, bitorder="little")
     labels = ["(" + ",".join(str(v) for v in row) + ")" for row in coords]
-    return _lazy(size, labels, _freeze(packed))
+    return Poset._of(size, _freeze(packed), labels)
 
 
 def standard_example(n: int) -> Poset:
@@ -360,7 +357,7 @@ def standard_example(n: int) -> Poset:
     leq = np.eye(size, dtype=bool)
     leq[:n, n:] = ~np.eye(n, dtype=bool)
     labels = [f"{{{i + 1}}}" for i in range(n)] + [f"~{{{j + 1}}}" for j in range(n)]
-    return _make(leq, labels)
+    return Poset(size, leq, labels)
 
 
 def chain(k: int) -> Poset:
@@ -369,8 +366,7 @@ def chain(k: int) -> Poset:
         raise BadParameter(f"chain needs k >= 1, got {k}")
     _capped_size(k)
     idx = np.arange(k)
-    leq = idx[:, None] <= idx[None, :]
-    return _make(leq, _default_labels(k))
+    return Poset(k, idx[:, None] <= idx, _default_labels(k))
 
 
 def antichain(k: int) -> Poset:
@@ -378,15 +374,14 @@ def antichain(k: int) -> Poset:
     if k < 1:
         raise BadParameter(f"antichain needs k >= 1, got {k}")
     _capped_size(k)
-    return _make(np.eye(k, dtype=bool), _default_labels(k))
+    return Poset(k, np.eye(k, dtype=bool), _default_labels(k))
 
 
 def product(p: Poset, q: Poset) -> Poset:
     """Componentwise-order product; pair ``(a, b)`` gets index ``a*|Q| + b``."""
-    _capped_size(p.n * q.n)
-    leq = np.kron(p.leq, q.leq)
+    size = _capped_size(p.n * q.n)
     labels = [f"({pl},{ql})" for pl in p.labels for ql in q.labels]
-    return _make(leq, labels)
+    return Poset(size, np.kron(p.leq, q.leq), labels)
 
 
 def subposet(p: Poset, keep: list[int] | set[int]) -> Poset:
@@ -394,11 +389,11 @@ def subposet(p: Poset, keep: list[int] | set[int]) -> Poset:
     kept = sorted(set(keep))
     if not kept:
         raise BadParameter("keep set must be nonempty")
-    p._check_index(*kept)
-    sel = np.asarray(kept)
-    leq = p.leq[np.ix_(sel, sel)]
+    outside = [x for x in kept if not 0 <= x < p.n]
+    if outside:
+        raise IndexOutOfRange(f"element index {outside[0]} not in 0..{p.n - 1}")
     labels = [p.labels[i] for i in kept]
-    return _make(leq, labels)
+    return Poset(len(kept), p.leq[np.ix_(kept, kept)], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +428,7 @@ class LinearOrder:
 
     def __post_init__(self) -> None:
         _inverse(self.rank, "rank must be a bijection onto 0..n-1")
-        object.__setattr__(self, "rank", _freeze(np.array(self.rank, np.int64)))
+        vars(self)["rank"] = _freeze(np.array(self.rank, np.int64))
 
     @property
     def n(self) -> int:
@@ -448,8 +443,8 @@ class LinearOrder:
     @classmethod
     def _of(cls, rank: np.ndarray) -> "LinearOrder":
         # An int64 rank known to be a bijection, unchecked.
-        order = object.__new__(cls)
-        object.__setattr__(order, "rank", _freeze(rank))
+        order = cls.__new__(cls)
+        vars(order)["rank"] = _freeze(rank)
         return order
 
     def sequence(self) -> np.ndarray:
@@ -489,7 +484,8 @@ def linear_extensions(
     Candidates are taken in ascending index order at every level, so the
     output order is deterministic (and starts with some_linear_extension's
     result).  Returns (extensions, truncated); truncated is True when `limit`
-    cut the enumeration short.  Intended for small posets.
+    cut the enumeration short.  An explicit stack replaces recursion, so a
+    long chain needs no deep call stack.  Intended for small posets.
     """
     n = p.n
     preds = [set(np.flatnonzero(p.leq[:, v])) - {v} for v in range(n)]
@@ -497,25 +493,24 @@ def linear_extensions(
     out: list[LinearOrder] = []
     placed: list[int] = []
     done: set[int] = set()
-
-    def walk() -> bool:
+    tried = [0]  # per level, the first candidate not yet tried there
+    while tried:
         if len(placed) == n:
-            out.append(LinearOrder.from_sequence(list(placed)))
-            return cap is None or len(out) < cap
-        for v in range(n):
-            if v in done or not preds[v] <= done:
-                continue
+            out.append(LinearOrder.from_sequence(placed))
+            if len(out) == cap:
+                break
+        free = (v for v in range(tried[-1], n) if v not in done and preds[v] <= done)
+        v = next(free, n)
+        if v < n:
+            tried[-1] = v + 1
+            tried.append(0)
             placed.append(v)
             done.add(v)
-            keep_going = walk()
-            placed.pop()
-            done.remove(v)
-            if not keep_going:
-                return False
-        return True
-
-    walk()
-    truncated = cap is not None and len(out) == cap
+        else:  # every candidate tried: take back the last element placed
+            tried.pop()
+            if placed:
+                done.remove(placed.pop())
+    truncated = len(out) == cap
     if truncated:
         out.pop()
     return out, truncated
@@ -573,8 +568,7 @@ def upper_covers(p: Poset) -> Iterator[list[int]]:
         return
     # The relation is read a row block at a time (Poset._relation), so the
     # (n, n) matrix of packed rows is never unpacked whole.
-    step = max(1, _BLOCK_CELLS // n)
-    blocks = [slice(a, min(a + step, n)) for a in range(0, n, step)]
+    blocks = _row_blocks(n)
     everything = slice(0, n)
     down = sum(p._relation(rows, everything).sum(axis=0) for rows in blocks)
     order = np.argsort(down, kind="stable")

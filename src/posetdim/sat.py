@@ -29,6 +29,7 @@ import gc
 import shlex
 import subprocess
 import tempfile
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, groupby
@@ -104,40 +105,45 @@ class VarMap:
 
 @dataclass(frozen=True, eq=False)
 class ClauseArray:
-    """Clauses stored flat in ``lits``, in clause order.  ``blocks`` are the
-    maximal runs of equal-width clauses, in order, each a (clauses, width)
-    view of ``lits``; a width-0 block holds empty clauses."""
+    """Clauses stored flat in ``lits``, in clause order.  ``runs`` holds one
+    (clauses, width) row per maximal run of equal-width clauses, in order;
+    ``blocks`` gives each run as a (clauses, width) view of ``lits``, made
+    on demand, so a run costs 16 bytes held.  A width-0 run holds empty
+    clauses."""
 
     lits: np.ndarray  # int32
-    blocks: tuple[np.ndarray, ...]
+    runs: np.ndarray  # (runs, 2) int64
 
     @classmethod
     def from_runs(cls, lits: np.ndarray, runs: Iterable[Sequence[int]]) -> ClauseArray:
         """lits cut into runs of (clauses, width), in order; adjacent runs of
         one width are merged and empty ones dropped."""
-        blocks, start = [], 0
-        for count, width in runs:
-            if blocks and blocks[-1].shape[1] == width:  # merge into the last
-                count += len(blocks[-1])
-                start -= blocks.pop().size
-            if count:
-                blocks.append(lits[start : start + count * width].reshape(count, width))
-                start += count * width
-        return cls(lits, tuple(blocks))
+        runs = np.array(runs, dtype=np.int64).reshape(-1, 2)
+        runs = runs[runs[:, 0] > 0]
+        first = np.flatnonzero(np.diff(runs[:, 1], prepend=-1))  # a width starts
+        counts = np.add.reduceat(runs[:, 0], first)
+        return cls(lits, np.stack([counts, runs[first, 1]], axis=1))
 
     @classmethod
     def from_lists(cls, clauses: list[list[int]]) -> ClauseArray:
         runs = [(len(list(g)), w) for w, g in groupby(map(len, clauses))]
         return cls.from_runs(np.fromiter(chain.from_iterable(clauses), np.int32), runs)
 
+    @property
+    def blocks(self) -> Iterator[np.ndarray]:
+        start = 0
+        for count, width in zip(*self.runs.T.tolist()):
+            yield self.lits[start : start + count * width].reshape(count, width)
+            start += count * width
+
     def __len__(self) -> int:
-        return sum(map(len, self.blocks))
+        return int(self.runs[:, 0].sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClauseArray):
             return NotImplemented
-        shapes = lambda c: [b.shape for b in c.blocks]
-        return shapes(self) == shapes(other) and np.array_equal(self.lits, other.lits)
+        same = np.array_equal
+        return same(self.runs, other.runs) and same(self.lits, other.lits)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -159,7 +165,7 @@ class CnfInstance:
         if not isinstance(self.clauses, ClauseArray):
             self.clauses = ClauseArray.from_lists(self.clauses)
         lits = self.clauses.lits
-        if any(block.shape[1] == 0 for block in self.clauses.blocks):
+        if not self.clauses.runs[:, 1].all():
             raise BadParameter("empty clause at construction")
         if np.count_nonzero(lits) < len(lits) or _largest_id(lits) > self.num_vars:
             raise BadParameter(f"a literal is 0 or above num_vars = {self.num_vars}")
@@ -662,8 +668,9 @@ def parse_dimacs(text: str) -> CnfInstance:
     """
     num_vars = None
     expected_clauses = None
-    lits: list[int] = []
-    runs: list[list[int]] = []  # [clauses, width] per run of equal width
+    lits = array("i")  # in range, so int32, once checked
+    runs = array("q")  # clauses, width per closed run of equal width
+    count = run_width = 0  # the open run; (0, 0) before the first clause
     start = 0  # where the open clause's literals begin
     for raw in text.splitlines():
         line = raw.strip()
@@ -687,10 +694,10 @@ def parse_dimacs(text: str) -> CnfInstance:
                 width = len(lits) - start
                 if not width:
                     raise ParseError("empty clause in DIMACS input")
-                if runs and runs[-1][1] == width:
-                    runs[-1][0] += 1
-                else:
-                    runs.append([1, width])
+                if width != run_width:
+                    runs.extend((count, run_width))
+                    count, run_width = 0, width
+                count += 1
                 start = len(lits)
             elif abs(lit) > num_vars:
                 raise ParseError(f"literal {lit} out of range for {num_vars} variables")
@@ -700,7 +707,9 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ParseError("unterminated clause at end of DIMACS input")
     if num_vars is None:
         raise ParseError("missing DIMACS header")
-    clauses = ClauseArray.from_runs(np.array(lits, dtype=np.int32), runs)
+    runs.extend((count, run_width))
+    lits, runs = np.frombuffer(lits, np.int32), np.frombuffer(runs, np.int64)
+    clauses = ClauseArray.from_runs(lits, runs)  # drops the empty first run
     if expected_clauses != len(clauses):
         raise ParseError(
             f"header promises {expected_clauses} clauses, found {len(clauses)}"

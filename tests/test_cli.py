@@ -242,6 +242,12 @@ class TestExactCommand:
         code, out, _ = run(capsys, "exact", "antichain:7", "dim", "--force")
         assert code == 0 and out.strip() == "dim=2"
 
+    def test_long_chain_needs_no_deep_recursion(self, capsys):
+        # 1,200 elements placed one per level: the extension walk holds its
+        # levels on an explicit stack, not on the call stack.
+        code, out, _ = run(capsys, "exact", "chain:1200", "dim", "--force")
+        assert code == 0 and out.strip() == "dim=1"
+
     def test_bdim_d_max_guard(self, capsys):
         code, out, err = run(capsys, "exact", "chain:3", "bdim", "--d-max", "4")
         assert code == 4 and out == "" and "error:" in err

@@ -153,6 +153,53 @@ class TestFromRelationPairs:
             leq[0, 1] = True
 
 
+def every_kind_of_poset():
+    """One poset from each constructor, the lattice and the bare one too."""
+    return [
+        pd.Poset(3, np.eye(3, dtype=bool), ("a", "b", "c")),
+        pd.from_relation_pairs(4, None, [(0, 1), (2, 3)]),
+        pd.boolean_lattice(3),
+        pd.multiset_grid(2, 3),
+        pd.standard_example(3),
+        pd.chain(4),
+        pd.antichain(2),
+        pd.product(pd.chain(2), pd.antichain(2)),
+        pd.subposet(pd.boolean_lattice(3), [0, 1, 3]),
+    ]
+
+
+class TestOneStore:
+    """A poset holds n, labels and its packed rows (None on a Boolean
+    lattice); leq is built from them on first read, cached and read-only."""
+
+    def test_caller_matrix_is_not_kept(self):
+        leq = np.eye(2, dtype=bool)
+        p = pd.Poset(2, leq, ("a", "b"))
+        leq[0, 1] = True  # the caller edits its own matrix afterwards
+        assert not p.leq[0, 1] and "leq" in vars(p)
+        order = pd.LinearOrder.from_sequence([0, 1])
+        realizer = pd.from_extensions(pd.chain(2), [order])  # phi = AND
+        assert not pd.verify(p, realizer).ok  # 0 <= 1 holds in the chain only
+        assert pd.verify(pd.chain(2), realizer).ok
+
+    def test_leq_read_only(self):
+        for p in every_kind_of_poset():
+            assert "leq" not in vars(p)
+            assert not p.leq.flags.writeable and p.leq is p.leq
+            with pytest.raises(ValueError):
+                p.leq[0, 0] = False
+
+    def test_attributes_cannot_be_set(self):
+        for p, same in zip(every_kind_of_poset(), every_kind_of_poset()):
+            for name, value in (("n", 1), ("labels", ()), ("leq", None), ("x", 0)):
+                with pytest.raises(AttributeError):
+                    setattr(p, name, value)
+            for name in ("n", "_packed"):
+                with pytest.raises(AttributeError):
+                    delattr(p, name)
+            assert p == same
+
+
 def cover_oracle(leq):
     """Pairs x < y with no z strictly between, by brute force."""
     n = len(leq)

@@ -744,11 +744,9 @@ class TestPackedRelation:
             wild = np.array([[rng.random() < 0.4 for _ in range(n)] for _ in range(n)])
             cases.append((pd.Poset(n, wild, tuple(map(str, range(n)))), wild))
         cases += family_posets()
-        wrapped = 0
         for p, leq in cases:
             n = p.n
-            kept = "leq" in vars(p)  # only Poset(n, leq, labels) keeps one
-            wrapped += kept
+            assert "leq" not in vars(p)  # no poset keeps a matrix until read
             for a in range(n):
                 for b in range(a + 1, n + 1):
                     for c in range(0, n, 3):
@@ -757,8 +755,7 @@ class TestPackedRelation:
                         converse = p._converse(rows, cols)
                         assert np.array_equal(converse, leq[cols, rows].T)
             assert np.array_equal(p.leq, leq)
-            assert p.leq is leq if kept else not p.leq.flags.writeable
-        assert wrapped == 6
+            assert not p.leq.flags.writeable
 
     @pytest.mark.parametrize("cells", (1, 7, 36, None))
     def test_diagonal_plant_at_chunk_ends(self, monkeypatch, cells):

@@ -786,6 +786,21 @@ class TestDimacsWriter:
             assert all(np.shares_memory(block, arr.lits) for block in arr.blocks)
             assert len(arr) == len(clauses)
 
+    def test_runs_held_as_int_pairs(self):
+        # 400,000 clauses of alternating widths 2 and 3 make 400,000 runs;
+        # each is held as one (clauses, width) row, not as a view of lits.
+        lits = np.tile(np.array([1, -2, -1, 2, 3], np.int32), 200_000)
+        runs = np.tile(np.array([[1, 2], [1, 3]]), (200_000, 1))
+        tracemalloc.start()
+        try:
+            cnf = CnfInstance(3, ClauseArray.from_runs(lits, runs), VarMap())
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 2**20 and len(cnf.clauses) == 400_000
+        parsed = parse_dimacs("p cnf 3 400000\n" + "1 -2 0\n-1 2 3 0\n" * 200_000)
+        assert parsed.clauses == cnf.clauses
+
     @pytest.mark.parametrize("window", [1, 2, 5, pd.sat._SLICE_ROWS])
     def test_width_runs_across_windows(self, monkeypatch, window):
         # Slice edges fall inside blocks, at their ends and on one-clause
