@@ -10,8 +10,10 @@ floating-point values are reported for display only.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -106,12 +108,38 @@ def lat_lower_bound(n: int) -> BoundReport:
                        formula=f"lat({n})")
 
 
+def _threshold_estimate(n: int, target: int) -> int:
+    """An integer at or next to the smallest m >= 2 with
+    m**n > (n*(m-1)+1)**(target-1), from a decimal solve in u = ln m.
+
+    G(u) = n*u - (target-1)*ln(n*(e**u - 1) + 1) is 0 at u = 0, convex, and
+    has one positive root u*, below (target-1)*ln(n)/(n-target+1) since
+    ln(n*(e**u - 1) + 1) < ln(n) + u.  Newton's steps from that bound fall
+    monotonically to u*; they are carried to 20 more digits than e**u* has.
+    """
+    k = target - 1
+    digits = int(k * math.log(n) / (n - k) / math.log(10)) + 1  # of e**u*, at most
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 20
+        u = k * Decimal(n).ln() / (n - k)
+        tolerance = Decimal(10) ** -(digits + 5)
+        for _ in range(200):
+            nm = n * u.exp()
+            step = (n * u - k * (nm - n + 1).ln()) / (n - k * nm / (nm - n + 1))
+            u -= step
+            if abs(step) < tolerance:
+                break
+        return max(2, int(u.exp()) + 1)
+
+
 def min_multiplicity_for_target(n: int, target: int) -> int:
     """Smallest multiplicity cap m >= 2 whose grid bound exceeds target - 1,
     decided exactly: m**n > (n*(m-1)+1)**(target-1).
 
     The raw bound is nondecreasing in m and approaches n, so the predicate is
-    a threshold; for target = n the answer is at most n**(n-1).
+    a threshold; for target = n the answer is at most n**(n-1).  The answer
+    is settled by exact tests around _threshold_estimate: normally m and
+    m - 1 alone, else galloping from it to a bracket and bisecting that.
     """
     if not 2 <= target <= n:
         raise BadParameter(f"need 2 <= target <= n, got target={target}, n={n}")
@@ -119,10 +147,14 @@ def min_multiplicity_for_target(n: int, target: int) -> int:
     def exceeds(m: int) -> bool:
         return m**n > (n * (m - 1) + 1) ** (target - 1)
 
-    hi = 2
+    # gallop from the estimate until exceeds(hi) and, unless lo is 2,
+    # not exceeds(lo - 1); a good estimate leaves lo == hi after two tests
+    lo = hi = _threshold_estimate(n, target)
+    step = 1
     while not exceeds(hi):
-        hi *= 2
-    lo = max(2, hi // 2)
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    while lo > 2 and exceeds(lo - 1):
+        lo, hi, step = max(2, lo - step), lo - 1, 2 * step
     while lo < hi:
         mid = (lo + hi) // 2
         if exceeds(mid):

@@ -11,10 +11,11 @@ Variable ids follow a closed form (see VarMap) and clauses live in one flat
 int32 array, read as blocks of equal-width clauses (see ClauseArray), so
 encoding, DIMACS export, model checks and decoding are array operations
 rather than per-literal Python work.  The encoder writes its literals in
-place, each order's by closed-form arithmetic on order 0's.  Model checks,
-DIMACS export and the solver load work a block at a time, in slices of
-rows, so they allocate per slice, not per literal; DIMACS export gathers
-one fixed-width token slot per literal, so it never indexes bytes.
+place, each order's by closed-form arithmetic on order 0's.  The encoder,
+model checks, DIMACS export and the solver load work in slices of rows
+(_SLICE_ROWS), so every temporary they allocate is the size of a slice,
+not of the instance; DIMACS export gathers one fixed-width token slot per
+literal, so it never indexes bytes.
 
 The encoder marks the clause copies it writes (CnfInstance.copies), and the
 internal solver loads each marked copy once; parsed and hand-built CNFs carry
@@ -184,6 +185,20 @@ class SatResult:
     conflicts: int = 0
 
 
+# Clauses built, checked, gathered or written at once: about 0.1-0.5 MB per
+# temporary.  Writing the DIMACS of B6 at d = 5 takes about 4,000 minor page
+# faults at this size and 20,000 at twice it, where the heap is trimmed and
+# grown again between slices.
+_SLICE_ROWS = 1 << 12
+
+
+def _row_slices(block: np.ndarray) -> Iterator[np.ndarray]:
+    """block in slices of at most _SLICE_ROWS rows, so that work on one
+    slice allocates in proportion to the slice, not to the block."""
+    for r0 in range(0, len(block), _SLICE_ROWS):
+        yield block[r0 : r0 + _SLICE_ROWS]
+
+
 def _shift_to_order(first: np.ndarray, i: int, pairs: int, out: np.ndarray) -> None:
     """Write to out the literals of order i whose order-0 literals are first:
     var(i, x, y) = var(0, x, y) + i*C(n,2), so a literal moves away from 0
@@ -215,11 +230,13 @@ def encode_bdim_sat(
     literals are allocated once and written in place, and the three runs
     of equal width (transitivity, 3; linking, d, or d + 1 with phi free;
     units, 1) are the ClauseArray's blocks, merged where two widths meet.
-    Literals are closed-form arithmetic: order 0's come from one (n, n)
-    table of signed literals, gathered at int32 cell indices of the distinct
-    triples and pairs, and order i's are order 0's moved by sign * i*C(n,2)
-    (see _shift_to_order).  No per-order table and no stacked block of the
-    whole instance is built.
+    Literals are closed-form arithmetic: order 0's are read from one (n, n)
+    table of signed literals, the transitivity rows one first element x at
+    a time and the linking rows one slice of pairs (about _SLICE_ROWS rows)
+    at a time, and order i's are order 0's moved by sign * i*C(n,2) (see
+    _shift_to_order).  The literals and the copies mask are the only arrays
+    the size of the instance: no index array over its triples or rows, no
+    per-order table and no stacked block of the whole instance is built.
 
     The copies this order writes are marked in ``copies``: each transitivity
     clause is written once per rotation of (x, y, z), first with x smallest,
@@ -255,32 +272,28 @@ def encode_bdim_sat(
     before[ys, xs] = -before[xs, ys]
 
     # (a) transitivity per order: x before y and y before z force x before z,
-    # over the triples of distinct elements in index order
-    x, y, z = np.ix_(*[np.arange(n, dtype=np.int32)] * 3)
-    distinct = (x != y) & (x != z) & (y != z)
-
-    def cells(a, b):  # flat index of cell (a, b) of before, per triple
-        return np.broadcast_to(a * n + b, distinct.shape)[distinct]
-
-    triples = np.stack([cells(y, x), cells(z, y), cells(x, z)], axis=1)
-    x_not_least = ((x > y) | (x > z))[distinct]
+    # over the triples of distinct elements in index order; the (n-1)(n-2)
+    # triples of one first element x are the other elements' pairs (y, z),
+    # y != z, written one x at a time
+    per_x = (n - 1) * (n - 2)
+    y_rank, z_rank = np.nonzero(~np.eye(n - 1, dtype=bool))
 
     # (b) linking: pair (x, y) with query tuple t must answer leq[x, y].  The
     # clause lists, for each order i, the literal that contradicts bit i of t,
     # then the phi literal when phi is free.
     px, py = np.nonzero(~np.eye(n, dtype=bool))
     need = p.leq[px, py]
+    pair_lits = before[px, py]
     tuples = np.arange(1 << d, dtype=np.int32)
     flip = 1 - 2 * ((tuples[:, None] >> np.arange(d, dtype=np.int32)) & 1)
+    link_width = d + (fixed_phi is None)
     if fixed_phi is None:
-        written = np.ones((len(px), 1 << d), dtype=bool)
+        n_link = len(px) << d
     else:
         bits = fixed_phi.bits.astype(bool)
-        written = bits != need[:, None]
-        # row (y, x, ~t) is written too, with the same literals
-        mirrored = bits[::-1] != p.leq[py, px][:, None]
-    link_pair, link_t = np.nonzero(written)
-    link_width = d + (fixed_phi is None)
+        ones = int(np.count_nonzero(bits))
+        n_need = int(np.count_nonzero(need))
+        n_link = n_need * ((1 << d) - ones) + (len(px) - n_need) * ones
 
     # (c) reflexive queries must answer yes
     units = []
@@ -293,28 +306,52 @@ def encode_bdim_sat(
             varmap = VarMap(n=n, d=d, aux=("reflexive-conflict",))
             units = [varmap.num_vars, -varmap.num_vars]
 
-    n_trans, n_link = d * len(triples), len(link_pair)
+    n_trans = d * n * per_x
     runs = [(n_trans, 3), (n_link, link_width), (len(units), 1)]
     lits = np.empty(sum(count * width for count, width in runs), dtype=np.int32)
     copies = np.zeros(n_trans + n_link + len(units), dtype=bool)
 
-    trans = lits[: 3 * n_trans].reshape(d, len(triples), 3)
-    trans[0] = before.ravel()[triples]
+    trans = lits[: 3 * n_trans].reshape(d, n * per_x, 3)
+    trans_copies = copies[:n_trans].reshape(d, n * per_x)
+    for x in range(n):
+        y = y_rank + (y_rank >= x)
+        z = z_rank + (z_rank >= x)
+        rows = trans[0, x * per_x : (x + 1) * per_x]
+        rows[:, 0] = before[y, x]
+        rows[:, 1] = before[z, y]
+        rows[:, 2] = before[x, z]
+        trans_copies[:, x * per_x : (x + 1) * per_x] = (x > y) | (x > z)
     for i in range(1, d):
         _shift_to_order(trans[0], i, pairs, out=trans[i])
-    copies[:n_trans].reshape(d, len(triples))[:] = x_not_least
 
+    # linking rows a slice of pairs at a time, about _SLICE_ROWS rows each
     link = lits[3 * n_trans : lits.size - len(units)].reshape(n_link, link_width)
-    pair_lits = before[px, py]
-    order_lits = np.empty_like(pair_lits)
-    for i in range(d):
-        _shift_to_order(pair_lits, i, pairs, out=order_lits)
-        np.multiply(order_lits[link_pair], flip[link_t, i], out=link[:, i])
-    if fixed_phi is None:
-        phi_ids = varmap.first_phi + tuples
-        link[:, d] = np.where(need[link_pair], phi_ids[link_t], -phi_ids[link_t])
-    else:
-        copies[n_trans : n_trans + n_link] = ((px > py)[:, None] & mirrored)[written]
+    link_copies = copies[n_trans : n_trans + n_link]
+    step = max(1, _SLICE_ROWS >> d)
+    start = 0  # the first link row of the slice
+    for a in range(0, len(px), step):
+        cut = slice(a, a + step)
+        if fixed_phi is None:
+            written = np.ones((len(px[cut]), 1 << d), dtype=bool)
+        else:
+            written = bits != need[cut, None]
+        link_pair, link_t = np.nonzero(written)
+        link_pair += a
+        rows = link[start : start + len(link_pair)]
+        first = pair_lits[link_pair]
+        for i in range(d):
+            _shift_to_order(first, i, pairs, out=rows[:, i])
+            rows[:, i] *= flip[link_t, i]
+        if fixed_phi is None:
+            phi_ids = varmap.first_phi + link_t
+            rows[:, d] = np.where(need[link_pair], phi_ids, -phi_ids)
+        else:
+            # row (y, x, ~t) is written too, with the same literals
+            mirrored = bits[::-1] != p.leq[py[cut], px[cut]][:, None]
+            link_copies[start : start + len(rows)] = (
+                (px[cut] > py[cut])[:, None] & mirrored
+            )[written]
+        start += len(rows)
 
     lits[lits.size - len(units) :] = units
     clauses = ClauseArray.from_runs(lits, runs)
@@ -385,16 +422,6 @@ def _literal_table(
     return values, lambda a: np.searchsorted(values, a)
 
 
-_SLICE_ROWS = 1 << 16  # clauses checked, gathered or written at once
-
-
-def _row_slices(block: np.ndarray) -> Iterator[np.ndarray]:
-    """block in slices of at most _SLICE_ROWS rows, so that work on one
-    slice allocates in proportion to the slice, not to the block."""
-    for r0 in range(0, len(block), _SLICE_ROWS):
-        yield block[r0 : r0 + _SLICE_ROWS]
-
-
 def _solver_clauses(
     cnf: CnfInstance,
 ) -> tuple[list[list[int]], list[int], np.ndarray]:
@@ -407,44 +434,56 @@ def _solver_clauses(
     with another: an unmarked duplicate is loaded again, which changes
     neither the search nor its model.  A repeated literal is kept once (its
     first occurrence) and a tautology is dropped, so a variable that occurs
-    only in tautologies is not used.  One sort of |literals| per block of
-    equal width finds the rows with a repeat; they are reduced on a Python
-    path, after the block's other rows.  The lists share one int object per
-    literal value, gathered a slice of rows at a time, and the first two
-    literals of each list are its watches (see internal_sat_solve).
+    only in tautologies is not used.
+
+    Two passes over each block of equal width, a slice of rows at a time
+    (see _row_slices), so each allocates per slice.  The first sorts the
+    |literals| of a slice's unmarked rows to find those with a repeat, which
+    are reduced on a Python path and left out of a per-clause keep mask,
+    and marks the variables used.  The second gathers the kept rows as
+    lists that share one int object per literal value; a block's reduced
+    rows follow its other rows.  The first two literals of each list are
+    its watches (see internal_sat_solve).
     """
     top = _largest_id(cnf.clauses.lits)
     used = np.zeros(top + 1, dtype=bool)
-    runs = []  # (rows without a repeated variable, reduced rows) per block
+    keep = ~cnf.copies  # loaded as it stands
+    reduced = []  # per block, its rows with a repeated variable, reduced
     end = 0  # the clause index after the block
     for block in cnf.clauses.blocks:
         end += len(block)
-        block = block[~cnf.copies[end - len(block) : end]]
-        ids = np.sort(np.abs(block), axis=1)
-        repeats = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
-        reduced = []
-        if repeats.any():
-            for row in block[repeats].tolist():
-                lits = list(dict.fromkeys(row))
-                if not any(-lit in lits for lit in lits):  # else a tautology
-                    reduced.append(lits)
-                    used[np.abs(lits)] = True
-            block = block[~repeats]
-        used[np.abs(block)] = True
-        runs.append((block, reduced))
+        reduced.append([])
+        slices = zip(_row_slices(block), _row_slices(keep[end - len(block) : end]))
+        for rows, keep_rows in slices:
+            rows = rows[keep_rows]
+            ids = np.sort(np.abs(rows), axis=1)
+            repeats = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
+            if repeats.any():
+                for row in rows[repeats].tolist():
+                    lits = list(dict.fromkeys(row))
+                    if not any(-lit in lits for lit in lits):  # else a tautology
+                        reduced[-1].append(lits)
+                        used[np.abs(lits)] = True
+                keep_rows[np.flatnonzero(keep_rows)[repeats]] = False
+                rows = rows[~repeats]
+            used[np.abs(rows)] = True
     used = np.flatnonzero(used)
     values, position = _literal_table(cnf.clauses.lits)
     renumbered = np.searchsorted(used, np.abs(values)) + 1
     shared = np.where(values < 0, -renumbered, renumbered).astype(object)
     kept: list[list[int]] = []
     units: list[int] = []
-    for block, reduced in runs:
-        if block.shape[1] == 1:  # no repeats in a single literal
-            units.extend(shared[position(block[:, 0])].tolist())
-            continue
-        for rows in _row_slices(block):
-            kept.extend(shared[position(rows)].tolist())
-        for lits in reduced:
+    end = 0
+    for block, block_reduced in zip(cnf.clauses.blocks, reduced):
+        end += len(block)
+        slices = zip(_row_slices(block), _row_slices(keep[end - len(block) : end]))
+        for rows, keep_rows in slices:
+            loaded = shared[position(rows[keep_rows])]
+            if block.shape[1] == 1:  # no repeats in a single literal
+                units.extend(loaded[:, 0].tolist())
+            else:
+                kept.extend(loaded.tolist())
+        for lits in block_reduced:
             row = shared[position(np.array(lits))].tolist()
             if len(row) == 1:
                 units.append(row[0])

@@ -1,11 +1,14 @@
 """Signatures, grid singletons, and the exact integer lower bounds."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import posetdim as pd
+from posetdim import bounds
+from posetdim.bounds import _threshold_estimate
 from posetdim.errors import BadParameter
 
 
@@ -147,6 +150,53 @@ class TestMinMultiplicity:
                 while not m**n > (n * (m - 1) + 1) ** (target - 1):
                     m += 1
                 assert pd.min_multiplicity_for_target(n, target) == m
+
+    def test_matches_bisection(self):
+        # The bisection over m that decided every step by the exact test,
+        # against the estimate settled by exact tests, for n <= 60.
+        def bisection(n, target):
+            exceeds = lambda m: m**n > (n * (m - 1) + 1) ** (target - 1)
+            hi = 2
+            while not exceeds(hi):
+                hi *= 2
+            lo = max(2, hi // 2)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if exceeds(mid) else (mid + 1, hi)
+            return hi
+
+        for n in range(2, 61):
+            for target in range(2, n + 1):
+                assert pd.min_multiplicity_for_target(n, target) == bisection(n, target)
+
+    def test_estimate_below_an_integer_root_is_settled(self):
+        # 25**26 == 625**13: at an integer root the decimal solve lands just
+        # below it, so the estimate is 25 and the exact tests move it to 26.
+        assert _threshold_estimate(26, 14) == 25
+        assert pd.min_multiplicity_for_target(26, 14) == 26
+
+    @pytest.mark.parametrize(
+        "guess",
+        [lambda m: 2, lambda m: m // 7, lambda m: m - 1, lambda m: m + 1,
+         lambda m: 1000 * m + 3],
+    )
+    def test_gallops_from_a_wrong_estimate(self, monkeypatch, guess):
+        for n, target in [(3, 3), (7, 5), (12, 12), (30, 2), (40, 33)]:
+            want = pd.min_multiplicity_for_target(n, target)
+            wrong = max(2, guess(want))
+            monkeypatch.setattr(bounds, "_threshold_estimate", lambda n, t: wrong)
+            assert pd.min_multiplicity_for_target(n, target) == want, (n, target)
+            monkeypatch.undo()
+
+    def test_n200_in_few_exact_tests(self):
+        # The answer has 458 digits; the bisection took 21 s over about
+        # 3,000 exact tests, the settled estimate takes well under 1 s.
+        start = time.perf_counter()
+        m = pd.min_multiplicity_for_target(200, 200)
+        elapsed = time.perf_counter() - start
+        assert m**200 > (200 * (m - 1) + 1) ** 199
+        assert not (m - 1) ** 200 > (200 * (m - 2) + 1) ** 199
+        assert len(str(m)) == 458 and elapsed < 10
 
     def test_exact_boundary_membership(self):
         # at m = n**(n-1) the capacity test passes for target n

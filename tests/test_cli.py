@@ -145,6 +145,13 @@ class TestBoundsCommand:
         row6 = lines[6].split()
         assert row6[4] == "3"
 
+    def test_n200_row_pinned(self, capsys):
+        # The row as the exact bisection printed it (21 s); SHA-256 of stdout.
+        code, out, _ = run(capsys, "bounds", "--n", "200")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "d22a881e850437c773bfee8817a85027c2b60392fe938fcb394e9c99c3c63662"
+        )
+
     def test_m_range(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "2", "--m", "2:4")
         assert code == 0

@@ -485,6 +485,19 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _traced_extra(fn, *args):
+    """Peak traced allocation while fn(*args) ran, less what its result (and
+    anything else it left) still holds, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - held
+
+
 def _little_endian_sha(a):
     return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()
 
@@ -517,11 +530,28 @@ class TestB6Encoding:
 
     def test_encoder_peak(self):
         # The 17.3 MiB of literals and the 1.3 MiB copies mask are allocated
-        # once, with no per-clause offsets; the int32 cell indices of the
-        # 249,984 triples and one gather of order 0's literals (3 MiB each)
-        # come on top.
+        # once, with no per-clause offsets; the transitivity rows of one
+        # first element and the linking rows of one slice of pairs come on
+        # top.
         _, peak = _traced_peak(pd.encode_bdim_sat, pd.boolean_lattice(6), 5)
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("phi, limit", [("free", 5), ("threshold", 3)])
+    def test_encoder_builds_no_instance_sized_temporary(self, phi, limit):
+        # Peak minus what the instance holds: about 0.6 MB with phi free
+        # and 0.4 MB with threshold phi, against 8.9 and 7.6 MB when order
+        # 0's triples were gathered at once.
+        fixed = None if phi == "free" else pd.threshold_at_most_one_zero(5)
+        extra = _traced_extra(pd.encode_bdim_sat, pd.boolean_lattice(6), 5, fixed)
+        assert extra < limit * 10**6
+
+    def test_solver_load_builds_no_instance_sized_temporary(self):
+        # Peak minus the loaded lists: the keep mask (one bool per clause)
+        # and the literal table, about 2.1 MB, against 8.5 MB when the
+        # unmarked rows of each block were copied and kept until the gather.
+        fixed = pd.threshold_at_most_one_zero(5)
+        cnf = pd.encode_bdim_sat(pd.boolean_lattice(6), 5, fixed_phi=fixed)
+        assert _traced_extra(_solver_clauses, cnf) < 3 * 10**6
 
     def test_check_model_peak(self):
         # A model that satisfies every clause, so that every slice is read.
@@ -536,6 +566,86 @@ class TestB6Encoding:
         assert ok and peak < 4 * 2**20
         model[cnf.varmap.first_phi + 31] = False  # phi(1, ..., 1) must be 1
         assert not check_model(cnf.clauses, model)
+
+
+def _reference_load(clauses):
+    """The clause lists and units _solver_clauses loads from a CNF with no
+    marked copies, in its order but not renumbered: each run of equal width
+    gives its rows without a repeated variable, then its other rows with
+    each repeat kept once and tautologies dropped."""
+    kept, units = [], []
+    for width, run in itertools.groupby(clauses, len):
+        run = list(run)
+        plain = [c for c in run if len({abs(x) for x in c}) == width]
+        reduced = [list(dict.fromkeys(c)) for c in run if c not in plain]
+        for c in plain + [c for c in reduced if not any(-x in c for x in c)]:
+            (units.append(c[0]) if len(c) == 1 else kept.append(c))
+    return kept, units
+
+
+class TestRowSlices:
+    """Every CNF pass works a slice of _SLICE_ROWS rows at a time; where the
+    slices fall must not change a literal, a mark or a loaded list."""
+
+    ENCODED = [
+        ("boolean:6", 5, "free"),
+        ("boolean:6", 5, "threshold"),
+        ("standard:5", 4, "free"),
+        ("boolean:3", 3, "and"),
+    ]
+
+    @staticmethod
+    def _encode(spec, d, phi):
+        fixed = {
+            "free": None,
+            "threshold": pd.threshold_at_most_one_zero(d),
+            "and": pd.and_function(d),
+        }[phi]
+        return pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
+
+    @pytest.mark.parametrize("spec, d, phi", ENCODED)
+    def test_encoder_arrays_at_every_slice_size(self, monkeypatch, spec, d, phi):
+        want = self._encode(spec, d, phi)
+        for rows in (1, 7):
+            monkeypatch.setattr(pd.sat, "_SLICE_ROWS", rows)
+            cnf = self._encode(spec, d, phi)
+            assert np.array_equal(cnf.clauses.lits, want.clauses.lits), rows
+            assert np.array_equal(cnf.clauses.runs, want.clauses.runs), rows
+            assert np.array_equal(cnf.copies, want.copies), rows
+
+    @pytest.mark.parametrize("spec, d, phi", ENCODED[2:])
+    def test_solver_load_at_every_slice_size(self, monkeypatch, spec, d, phi):
+        cnf = self._encode(spec, d, phi)
+        kept, units, used = _solver_clauses(cnf)
+        for rows in (1, 7):
+            monkeypatch.setattr(pd.sat, "_SLICE_ROWS", rows)
+            again = _solver_clauses(cnf)
+            assert (again[0], again[1]) == (kept, units), rows
+            assert np.array_equal(again[2], used), rows
+
+    def test_parsed_repeats_and_tautologies_at_every_slice_size(self, monkeypatch):
+        # Runs of widths 3, 2 and 4 whose rows repeat a variable (a clause
+        # that loses a literal; a width-2 clause that becomes a unit) or
+        # hold a variable and its negation, spread over slice edges.
+        rng = random.Random(20261019)
+        clauses = []
+        for width in (3, 2, 4):
+            for _ in range(40):
+                c = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(width)]
+                clauses.append(c)
+        text = f"p cnf 12 {len(clauses)}\n"
+        text += "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+        cnf = parse_dimacs(text)
+        want_kept, want_units = _reference_load(clauses)
+        reduced = [c for c in clauses if len({abs(x) for x in c}) < len(c)]
+        assert {len(c) for c in reduced} == {2, 3, 4} and want_units
+        assert any(-x in c for c in reduced for x in c)  # a tautology
+        for rows in (1, 7, pd.sat._SLICE_ROWS):
+            monkeypatch.setattr(pd.sat, "_SLICE_ROWS", rows)
+            kept, units, used = _load(cnf)
+            assert (kept, units) == (want_kept, want_units), rows
+            want_used = {abs(x) for c in want_kept for x in c} | set(map(abs, want_units))
+            assert used.tolist() == sorted(want_used), rows
 
 
 class TestDecodeModel:
@@ -739,7 +849,7 @@ def _random_clauses(rng, top):
 
 
 class TestDimacsWriter:
-    @pytest.mark.parametrize("chunk", [1, 3, pd.sat._SLICE_ROWS])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16, pd.sat._SLICE_ROWS])
     def test_matches_naive_writer(self, monkeypatch, chunk):
         monkeypatch.setattr(pd.sat, "_SLICE_ROWS", chunk)
         rng = np.random.default_rng(20261018)
@@ -801,7 +911,7 @@ class TestDimacsWriter:
         parsed = parse_dimacs("p cnf 3 400000\n" + "1 -2 0\n-1 2 3 0\n" * 200_000)
         assert parsed.clauses == cnf.clauses
 
-    @pytest.mark.parametrize("window", [1, 2, 5, pd.sat._SLICE_ROWS])
+    @pytest.mark.parametrize("window", [1, 2, 5, 1 << 16, pd.sat._SLICE_ROWS])
     def test_width_runs_across_windows(self, monkeypatch, window):
         # Slice edges fall inside blocks, at their ends and on one-clause
         # blocks; the text written and the model check must not change.
