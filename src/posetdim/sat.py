@@ -13,9 +13,9 @@ encoding, DIMACS export, model checks and decoding are array operations
 rather than per-literal Python work.  The encoder writes its literals in
 place, each order's by closed-form arithmetic on order 0's.  The encoder,
 model checks, DIMACS export and the solver load work in slices of rows
-(_SLICE_ROWS), so every temporary they allocate is the size of a slice,
-not of the instance; DIMACS export gathers one fixed-width token slot per
-literal, so it never indexes bytes.
+(_SLICE_ROWS), so their temporaries are the size of a slice, apart from
+the solver load's keep mask of one bool per clause; DIMACS export gathers
+one fixed-width token slot per literal, so it never indexes bytes.
 
 The encoder marks the clause copies it writes (CnfInstance.copies), and the
 internal solver loads each marked copy once; parsed and hand-built CNFs carry
@@ -293,6 +293,7 @@ def encode_bdim_sat(
         bits = fixed_phi.bits.astype(bool)
         ones = int(np.count_nonzero(bits))
         n_need = int(np.count_nonzero(need))
+        # a pair writes a row for each tuple whose phi bit differs from need
         n_link = n_need * ((1 << d) - ones) + (len(px) - n_need) * ones
 
     # (c) reflexive queries must answer yes
