@@ -3,12 +3,13 @@
 Results go to stdout and are byte-deterministic across runs; timings and
 progress go to stderr.  Exit codes: 0 success/verified, 1 verification
 failed or unsat where sat was required, 2 usage error, 3 I/O or parse
-error, 4 guard exceeded or solver failure.
+error, 4 guard exceeded, solver failure or solver timeout.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -20,6 +21,7 @@ from .errors import (
     ParseError,
     SizeMismatch,
     SolverLaunchFailed,
+    SolverTimeout,
     ToolkitError,
     UnparseableOutput,
     UsageError,
@@ -196,6 +198,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_sat(args: argparse.Namespace) -> int:
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        raise UsageError(f"--timeout must be a positive number: {args.timeout}")
     p = parse_poset_spec(args.poset)
     mode = _MODE_FLAGS[args.mode]
     phi = "free" if args.phi == "free" else and_function(args.d)
@@ -209,6 +213,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
         emit_path=args.out if args.engine == "emit" else None,
         mode=mode,
         force=args.force,
+        timeout=args.timeout,
     )
     _elapsed(t0)
     if report.status == "emitted":
@@ -300,6 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("internal", "external", "emit"), default="internal"
     )
     p_sat.add_argument("--solver", default=None, help="command with {cnf} placeholder")
+    p_sat.add_argument(
+        "--timeout", type=float, default=None, help="seconds the external solver may run"
+    )
     p_sat.add_argument("--out", default=None, help="realizer path, or CNF path for emit")
     add_mode(p_sat)
     p_sat.add_argument("--force", action="store_true", help="lift encoder guards")
@@ -327,6 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         GuardExceeded,
         SolverLaunchFailed,
+        SolverTimeout,
         UnparseableOutput,
         ModelCheckFailed,
         DecodeInconsistent,

@@ -57,6 +57,10 @@ class SolverLaunchFailed(ToolkitError):
     """The external solver process could not be started."""
 
 
+class SolverTimeout(ToolkitError):
+    """The external solver ran past its time limit and was stopped."""
+
+
 class UnparseableOutput(ToolkitError):
     """External solver output carried no recognizable result line."""
 

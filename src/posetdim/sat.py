@@ -14,8 +14,10 @@ rather than per-literal Python work.  The encoder writes its literals in
 place, each order's by closed-form arithmetic on order 0's.  The encoder,
 model checks, DIMACS export and the solver load work in slices of rows
 (_SLICE_ROWS), so their temporaries are the size of a slice, apart from
-the solver load's keep mask of one bool per clause; DIMACS export gathers
-one fixed-width token slot per literal, so it never indexes bytes.
+the solver load's keep mask of one bool per clause.  DIMACS export gathers
+one 8- or 16-byte token slot per literal, so it never indexes bytes, into
+two buffers per block that it fills in place slice by slice.  A solver's
+model is read from its joined "v" lines by one numpy call.
 
 The encoder marks the clause copies it writes (CnfInstance.copies), and the
 internal solver loads each marked copy once; parsed and hand-built CNFs carry
@@ -46,6 +48,7 @@ from .errors import (
     ModelCheckFailed,
     ParseError,
     SolverLaunchFailed,
+    SolverTimeout,
     UnparseableOutput,
 )
 from .errors import BadParameter
@@ -62,6 +65,7 @@ from .realizer import (
 MAX_SAT_ELEMENTS = 128
 MAX_SAT_D = 8
 _MAX_VARS = np.iinfo(np.int32).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -186,10 +190,13 @@ class SatResult:
 
 
 # Clauses built, checked, gathered or written at once: about 0.1-0.5 MB per
-# temporary.  Writing the DIMACS of B6 at d = 5 takes about 4,000 minor page
-# faults at this size and 20,000 at twice it, where the heap is trimmed and
-# grown again between slices.
+# temporary.
 _SLICE_ROWS = 1 << 12
+
+# The most bytes one DIMACS writer buffer holds, below glibc's default
+# 128 KiB mmap threshold: a freed mmap'd chunk raises the threshold, and
+# later transients then come from the heap and stay resident.
+_WRITE_BYTES = 1 << 16
 
 
 def _row_slices(block: np.ndarray) -> Iterator[np.ndarray]:
@@ -410,17 +417,21 @@ def _largest_id(lits: np.ndarray) -> int:
 def _literal_table(
     lits: np.ndarray,
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """(ascending literal values covering lits and 0, map from literal arrays
-    to positions in that table).
+    """(literal values covering lits and 0, map from literal arrays to
+    positions in that table).
 
-    The table spans -top..top when top, the largest id, is at most the
-    literal count; otherwise it holds only the distinct values.
+    The table lists 0, the positive values ascending, then the negative ones
+    ascending, so a negative position counts from the end, as numpy indexing
+    and np.take's wrap mode read it.  It spans -top..top when top, the
+    largest id, is at most the literal count, and each literal is then its
+    own position; otherwise it holds only the distinct values.
     """
     top = _largest_id(lits)
     if top <= len(lits):
-        return np.arange(-top, top + 1), lambda a: a + top
+        return np.r_[0 : top + 1, -top:0], lambda a: a
     values = np.union1d(lits, [0])
-    return values, lambda a: np.searchsorted(values, a)
+    zero = int(np.searchsorted(values, 0))
+    return np.roll(values, -zero), lambda a: np.searchsorted(values, a) - zero
 
 
 def _solver_clauses(
@@ -645,23 +656,32 @@ def _dimacs_chunks(cnf: CnfInstance) -> Iterator[bytes]:
     """DIMACS text in chunks: the header, then one clause per line.
 
     Each literal maps to a precomputed token ("12 ", "-3 "; literal 0 stands
-    for the clause terminator "0\\n") held in a fixed-width slot padded with
-    NUL bytes.  For each block of equal-width clauses, a slice of rows at a
-    time (see _row_slices), one gather of slots over a (rows, width + 1)
-    index matrix whose last column is the terminator gives the chunk;
-    dropping the NULs leaves the text, since no decimal token contains one.
+    for the clause terminator "0\\n") held in an 8-byte slot, or a 16-byte
+    one when a token is wider, padded with NUL bytes; np.take moves items
+    of these sizes whole and others byte by byte.  Each block of
+    equal-width clauses gets one (rows, width + 1) index buffer, whose last
+    column is the terminator, and one slot buffer of the same shape, each
+    of at most _WRITE_BYTES.  They are filled in place a slice of at most
+    _SLICE_ROWS rows at a time, and a slice's slots with the NULs dropped
+    are its chunk, since no decimal token contains one.
     """
     yield f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n".encode()
     values, position = _literal_table(cnf.clauses.lits)
     tokens = [b"%d " % v for v in values.tolist()]
-    end = int(np.searchsorted(values, 0))
-    tokens[end] = b"0\n"
-    slots = np.array(tokens)  # dtype S<widest token>: shorter ones NUL-padded
+    tokens[0] = b"0\n"  # literal 0, at position 0
+    slots = np.array(tokens, dtype="S8" if max(map(len, tokens)) <= 8 else "S16")
     for block in cnf.clauses.blocks:
-        for rows in _row_slices(block):
-            tok = np.full((len(rows), rows.shape[1] + 1), end, dtype=np.intp)
-            tok[:, :-1] = position(rows)
-            yield slots[tok].tobytes().translate(None, b"\0")
+        cols = block.shape[1] + 1
+        step = min(len(block), _SLICE_ROWS, _WRITE_BYTES // (cols * slots.itemsize))
+        step = max(1, step)  # one row, however wide
+        index = np.zeros((step, cols), dtype=np.intp)  # 0: the terminator
+        text = np.empty((step, cols), dtype=slots.dtype)
+        for r0 in range(0, len(block), step):
+            n = min(step, len(block) - r0)
+            for j in range(cols - 1):  # a column at a time: one long cast each
+                index[:n, j] = position(block[r0 : r0 + n, j])
+            np.take(slots, index[:n], out=text[:n], mode="wrap")
+            yield text[:n].tobytes().translate(None, b"\0")
 
 
 def to_dimacs(cnf: CnfInstance) -> str:
@@ -757,10 +777,39 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance(num_vars=num_vars, clauses=clauses, varmap=VarMap())
 
 
+def _model_literals(body: str, num_vars: int) -> np.ndarray:
+    """The whitespace-separated numbers of body that name a variable in
+    1..num_vars, in order, as int64.  A body of ASCII digits, spaces and
+    minus signs, each sign at the start of a number, is read by one numpy
+    call, unless a number saturates it at an int64 limit.  Any other body
+    goes through ``int()`` token by token, which accepts plus signs,
+    underscores and non-ASCII digits and raises UnparseableOutput on the
+    rest."""
+    padded = f" {body} "
+    if (
+        padded.isascii()
+        and not padded.encode().translate(None, b"0123456789- ")
+        and padded.count("-") == padded.count(" -")
+        and "- " not in padded
+    ):
+        values = np.fromstring(body, dtype=np.int64, sep=" ")  # "" -> [], " " -> [0]
+        if not len(values) or (_INT64_MIN < values.min() and values.max() < _INT64_MAX):
+            return values[(values != 0) & (np.abs(values) <= num_vars)]
+    values = [_parse_int(token, UnparseableOutput) for token in body.split()]
+    return np.array([v for v in values if 0 < abs(v) <= num_vars], dtype=np.int64)
+
+
 def parse_solver_output(text: str, num_vars: int) -> SatResult:
-    """Interpret SAT-competition style output ("s ..." and "v ..." lines)."""
+    """Interpret SAT-competition style output ("s ..." and "v ..." lines).
+
+    The last "s" line with a known tag gives the status.  The bodies of the
+    "v" lines, wherever they stand, are joined and read at once (see
+    _model_literals); a bad number among them raises UnparseableOutput
+    whatever the status.  Literals outside 1..num_vars, and the closing 0,
+    are ignored.
+    """
     status = None
-    values: list[int] = []
+    bodies = []
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s "):
@@ -772,14 +821,12 @@ def parse_solver_output(text: str, num_vars: int) -> SatResult:
             elif tag.startswith("UNKNOWN"):
                 status = "unknown"
         elif line.startswith("v ") or line == "v":
-            values.extend(
-                _parse_int(tok, UnparseableOutput) for tok in line[1:].split()
-            )
+            bodies.append(line[1:])
+    lits = _model_literals(" ".join(bodies), num_vars)
     if status is None:
         raise UnparseableOutput("no recognizable 's' result line in solver output")
     if status != "sat":
         return SatResult(status=status)
-    lits = np.array([v for v in values if 0 < abs(v) <= num_vars], dtype=np.int64)
     assignment = np.zeros(num_vars + 1, dtype=bool)
     assignment[np.abs(lits)] = lits > 0
     return SatResult(status="sat", assignment=assignment)
@@ -789,7 +836,8 @@ def run_external_solver(
     cnf: CnfInstance, solver_command: str, timeout: float | None = None
 ) -> SatResult:
     """Run a DIMACS solver ("{cnf}" in the command is replaced by the file
-    path) and re-check any claimed model locally.
+    path) and re-check any claimed model locally.  A solver still running
+    after timeout seconds is killed (SolverTimeout).
 
     Unsat answers are necessarily taken on trust and flagged unverified.
     """
@@ -807,7 +855,9 @@ def run_external_solver(
                 text=True,
                 timeout=timeout,
             )
-        except (OSError, subprocess.TimeoutExpired) as exc:
+        except subprocess.TimeoutExpired:
+            raise SolverTimeout(f"{command!r} timed out after {timeout} s") from None
+        except OSError as exc:
             raise SolverLaunchFailed(f"could not run {command!r}: {exc}") from exc
     try:
         result = parse_solver_output(proc.stdout, cnf.num_vars)
@@ -893,14 +943,16 @@ def search_realizer(
     mode: str = REFLEXIVE_INCLUSIVE,
     conflict_limit: int | None = None,
     force: bool = False,
+    timeout: float | None = None,
 ) -> SearchReport:
     """encode -> solve -> decode -> verify, or emit the DIMACS instance.
 
     phi is "free" or a fixed TruthTable of arity d.  Engines: "internal"
     (bundled complete solver), "external" (solver_command required), "emit"
-    (write instance plus varmap sidecar to emit_path and stop).  The engine
-    and its argument are checked before anything is encoded; ``force=True``
-    lifts the encoder guards.
+    (write instance plus varmap sidecar to emit_path and stop).  timeout,
+    in seconds, bounds the external solver's run.  The engine and its
+    arguments are checked before anything is encoded; ``force=True`` lifts
+    the encoder guards.
     """
     fixed_phi = None if phi == "free" else phi
     if isinstance(fixed_phi, str):
@@ -911,6 +963,8 @@ def search_realizer(
         raise BadParameter("external engine needs solver_command")
     if engine == "emit" and not emit_path:
         raise BadParameter("emit engine needs emit_path")
+    if timeout is not None and engine != "external":
+        raise BadParameter("timeout applies to the external engine only")
     cnf = encode_bdim_sat(p, d, fixed_phi=fixed_phi, mode=mode, force=force)
 
     if engine == "emit":
@@ -929,7 +983,7 @@ def search_realizer(
     if engine == "internal":
         result = internal_sat_solve(cnf, conflict_limit=conflict_limit)
     else:
-        result = run_external_solver(cnf, solver_command)
+        result = run_external_solver(cnf, solver_command, timeout=timeout)
 
     realizer = None
     if result.status == "sat":

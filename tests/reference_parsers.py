@@ -2,7 +2,10 @@
 read order lines and ``rel`` lines with array operations, kept verbatim as
 references for the differential tests in test_formats.py: on every text
 the parsers in posetdim.formats must return an equal object or raise the
-same ParseError."""
+same ParseError.  The solver-output parser as it was before it read the
+"v" lines with one array call, kept verbatim for the differential in
+test_sat.py: on every text posetdim.sat.parse_solver_output must give the
+same status and assignment or raise the same error."""
 
 from __future__ import annotations
 
@@ -11,9 +14,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from posetdim.errors import ParseError, ToolkitError
+from posetdim.errors import ParseError, ToolkitError, UnparseableOutput
 from posetdim.poset import MAX_ELEMENTS, LinearOrder, Poset, from_relation_pairs
 from posetdim.realizer import BooleanRealizer, TruthTable
+from posetdim.sat import SatResult, _parse_int
 
 
 def _check_size(n: int) -> None:
@@ -123,3 +127,31 @@ def parse_realizer(text: str) -> BooleanRealizer:
         raise
     except (ValueError, ToolkitError) as exc:
         raise ParseError(f"malformed realizer document: {exc}") from exc
+
+
+def parse_solver_output(text: str, num_vars: int) -> SatResult:
+    """Interpret SAT-competition style output ("s ..." and "v ..." lines)."""
+    status = None
+    values: list[int] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("s "):
+            tag = line[2:].strip().upper()
+            if tag == "SATISFIABLE":
+                status = "sat"
+            elif tag == "UNSATISFIABLE":
+                status = "unsat"
+            elif tag.startswith("UNKNOWN"):
+                status = "unknown"
+        elif line.startswith("v ") or line == "v":
+            values.extend(
+                _parse_int(tok, UnparseableOutput) for tok in line[1:].split()
+            )
+    if status is None:
+        raise UnparseableOutput("no recognizable 's' result line in solver output")
+    if status != "sat":
+        return SatResult(status=status)
+    lits = np.array([v for v in values if 0 < abs(v) <= num_vars], dtype=np.int64)
+    assignment = np.zeros(num_vars + 1, dtype=bool)
+    assignment[np.abs(lits)] = lits > 0
+    return SatResult(status="sat", assignment=assignment)

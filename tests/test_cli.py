@@ -5,7 +5,9 @@ import hashlib
 import io
 import os
 import re
+import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -318,6 +320,30 @@ class TestSatCommand:
         assert code == 4 and out == ""
         assert "no recognizable 's' result line" in err
         assert "exit code 3" in err and "boom" in err
+
+    def test_solver_timeout_exits_4(self, capsys):
+        sleeper = f"{sys.executable} -c 'import time; time.sleep(60)' {{cnf}}"
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "sat", "chain:2", "--d", "1", "--engine", "external",
+            "--solver", sleeper, "--timeout", "0.5",
+        )
+        assert code == 4 and out == ""
+        assert "timed out after 0.5 s" in err and "could not run" not in err
+        assert time.perf_counter() - started < 30
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--engine", "external", "--solver", "true", "--timeout", value)
+            for value in ("0", "-1", "nan", "inf")
+        ] + [("--timeout", "5"), ("--engine", "emit", "--out", "x.cnf", "--timeout", "5")],
+    )
+    def test_bad_timeout_is_usage_error(self, capsys, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "sat", "chain:2", "--d", "1", *extra)
+        assert code == 2 and out == "" and err.startswith("usage error:")
+        assert "timeout" in err and not (tmp_path / "x.cnf").exists()
 
     def test_external_needs_solver(self, capsys):
         code, _, _ = run(

@@ -7,6 +7,7 @@ import random
 import stat
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import posetdim as pd
+import reference_parsers as reference
 from posetdim.errors import (
     BadArity,
     BadParameter,
@@ -24,6 +26,7 @@ from posetdim.errors import (
     ModelCheckFailed,
     ParseError,
     SolverLaunchFailed,
+    SolverTimeout,
     ToolkitError,
     UnparseableOutput,
 )
@@ -33,6 +36,7 @@ from posetdim.sat import (
     ClauseArray,
     CnfInstance,
     VarMap,
+    _dimacs_chunks,
     _literal_table,
     _solver_clauses,
     check_model,
@@ -723,6 +727,18 @@ def small_solver_outputs(draw):
     return "\n".join(draw(st.permutations(lines)))
 
 
+def _solver_outcome(parse, text, num_vars):
+    """(status, assignment as a list or None), or the class and message of
+    the error raised."""
+    try:
+        result = parse(text, num_vars)
+    except ToolkitError as exc:
+        return type(exc).__name__, str(exc)
+    assignment = result.assignment
+    assert assignment is None or assignment.dtype == bool
+    return result.status, None if assignment is None else assignment.tolist()
+
+
 class TestDimacsFormats:
     def test_round_trip(self):
         cnf = pd.encode_bdim_sat(pd.boolean_lattice(2), 1)
@@ -805,6 +821,8 @@ class TestDimacsFormats:
     @settings(max_examples=300)
     @given(small_solver_outputs(), st.integers(0, 8))
     def test_small_outputs_parse_or_raise_toolkit_errors(self, text, num_vars):
+        want = _solver_outcome(reference.parse_solver_output, text, num_vars)
+        assert _solver_outcome(parse_solver_output, text, num_vars) == want
         try:
             result = parse_solver_output(text, num_vars)
         except ToolkitError:
@@ -825,6 +843,46 @@ class TestDimacsFormats:
             parse_solver_output("no result here\n", 2)
         with pytest.raises(UnparseableOutput):
             parse_solver_output("s SATISFIABLE\nv 1 x 0\n", 2)
+
+
+class TestSolverOutputDifferential:
+    """parse_solver_output against the token-by-token reference parser, on
+    bodies chosen for the edges of its one-call read; the small outputs of
+    TestDimacsFormats are checked against it too."""
+
+    # int() reads "+3", "1_0" and the Arabic-Indic three; the 25-digit
+    # literals saturate numpy's int64 read and are ignored as out of range,
+    # while int() refuses 5000 digits; "1-2" would read as two numbers in a
+    # numpy call.
+    BODIES = [
+        "1 -2 3", "+3", "1_0", "\u0663", "-0", "-0 -3", "007 -02",
+        "9" * 25, "-" + "9" * 25, "9" * 5000, str(2**63 - 1), str(-(2**63)),
+        str(2**64 + 3), str(-(2**64 + 3)), "1-2", "--1", "- 1", "1 -", "-",
+        "1\t-2", "1\xa0-2", "1  -2   3", "",
+    ]
+
+    @pytest.mark.parametrize("status", ["SATISFIABLE", "UNSATISFIABLE", None])
+    def test_bodies_match_the_reference(self, status):
+        s_line = [] if status is None else [f"s {status}"]
+        for body in self.BODIES:
+            texts = [
+                "\n".join([*s_line, f"v {body} 0"]),
+                "\n".join([f"v {body}", "v 4", "v", *s_line, "v -1 0"]),  # v before s
+                "\n".join([*s_line, "v", "v 2 -3", f"v {body}"]),  # a bare v
+            ]
+            for text in texts:
+                want = _solver_outcome(reference.parse_solver_output, text, 5)
+                assert _solver_outcome(parse_solver_output, text, 5) == want, body[:40]
+
+    def test_b6_model_matches_the_reference(self):
+        # The shape a real solver prints: 10,080 signed literals, 20 per line.
+        rng = np.random.default_rng(6)
+        lits = (np.arange(1, 10_081) * rng.choice([-1, 1], size=10_080)).tolist()
+        lines = [" ".join(map(str, lits[k : k + 20])) for k in range(0, len(lits), 20)]
+        text = "s SATISFIABLE\n" + "".join(f"v {line}\n" for line in lines) + "v 0\n"
+        want = _solver_outcome(reference.parse_solver_output, text, 10_080)
+        assert _solver_outcome(parse_solver_output, text, 10_080) == want
+        assert want[1][1:] == [lit > 0 for lit in lits]
 
 
 def _naive_dimacs(num_vars, clauses):
@@ -854,9 +912,12 @@ class TestDimacsWriter:
         monkeypatch.setattr(pd.sat, "_SLICE_ROWS", chunk)
         rng = np.random.default_rng(20261018)
         # Ids up to 1 << 16 take the dense literal table; up to 2**31 - 1
-        # (12-byte tokens such as "-2147483647 ") the sparse one.
-        for top in [1, 9, 999, 2**31 - 1] * 25 + [1 << 16] * 3:
-            clauses = _random_clauses(rng, top)
+        # (12-byte tokens such as "-2147483647 ") the sparse one.  The widest
+        # tokens of 999_999 and 1_000_000, "-999999 " and "-1000000 ", fill
+        # an 8-byte slot and need a 16-byte one.
+        tops = [1, 9, 999, 2**31 - 1] * 25 + [1 << 16] * 3 + [999_999, 1_000_000] * 5
+        for top in tops:
+            clauses = _random_clauses(rng, top) + [[-top]]
             cnf = CnfInstance(top, clauses, VarMap())
             assert to_dimacs(cnf) == _naive_dimacs(top, clauses)
 
@@ -866,10 +927,28 @@ class TestDimacsWriter:
 
     def test_write_dimacs_same_bytes(self, tmp_path):
         rng = np.random.default_rng(7)
-        for k, top in enumerate([3, 1 << 16, 2**31 - 1]):
-            cnf = CnfInstance(top, _random_clauses(rng, top), VarMap())
+        for k, top in enumerate([3, 1 << 16, 999_999, 1_000_000, 2**31 - 1]):
+            cnf = CnfInstance(top, _random_clauses(rng, top) + [[-top]], VarMap())
             write_dimacs(cnf, tmp_path / f"{k}.cnf")
             assert (tmp_path / f"{k}.cnf").read_bytes() == to_dimacs(cnf).encode()
+
+    @pytest.mark.parametrize("rows", [1, 7, pd.sat._SLICE_ROWS])
+    def test_last_slice_partly_fills_the_buffers(self, monkeypatch, rows):
+        # A block reuses one index buffer and one slot buffer for all its
+        # slices; a last slice shorter than the others must write its own
+        # rows only, not those the slice before left in the buffers.
+        monkeypatch.setattr(pd.sat, "_SLICE_ROWS", rows)
+        rng = np.random.default_rng(rows)
+        for top in (9, 2**31 - 1):  # 8-byte slots, a dense table; 16, sparse
+            for width in (3, 4):
+                ids = rng.integers(1, 10, size=(5_000, width)) * (top // 9)
+                clauses = (ids * rng.choice([-1, 1], size=ids.shape)).tolist()
+                cnf = CnfInstance(top, clauses, VarMap())
+                chunks = list(_dimacs_chunks(cnf))
+                assert b"".join(chunks).decode() == _naive_dimacs(top, clauses)
+                lines = [chunk.count(b"\n") for chunk in chunks[1:]]  # past the header
+                assert set(lines[:-1]) == {lines[0]} and lines[0] <= rows
+                assert lines[-1] < lines[0] or rows == 1
 
     def test_b6_write_peak_bounded(self, tmp_path):
         # Chunk-sized gathers only: the writer walks the instance's blocks,
@@ -1044,6 +1123,18 @@ class TestExternalSolver:
         with pytest.raises(UnparseableOutput):
             pd.run_external_solver(cnf, f"{sys.executable} {script} {{cnf}}")
 
+    def test_timeout_stops_the_solver(self, tmp_path):
+        script = _script(tmp_path, "sleeper.py", "import time\ntime.sleep(60)\n")
+        cnf = CnfInstance(1, [[1]], VarMap())
+        command = f"{sys.executable} {script} {{cnf}}"
+        started = time.perf_counter()
+        with pytest.raises(SolverTimeout, match="timed out after 0.5 s"):
+            pd.run_external_solver(cnf, command, timeout=0.5)
+        assert time.perf_counter() - started < 30
+        with pytest.raises(SolverTimeout):
+            pd.search_realizer(pd.chain(2), 1, engine="external",
+                               solver_command=command, timeout=0.5)
+
 
 class TestSearchRealizer:
     @pytest.mark.parametrize(
@@ -1055,6 +1146,12 @@ class TestSearchRealizer:
         # B8 with d = 9 would trip both encoder guards
         with pytest.raises(BadParameter):
             pd.search_realizer(pd.boolean_lattice(8), 9, **kwargs)
+
+    @pytest.mark.parametrize("engine", ["internal", "emit"])
+    def test_timeout_needs_the_external_engine(self, tmp_path, engine):
+        with pytest.raises(BadParameter, match="timeout"):
+            pd.search_realizer(pd.boolean_lattice(8), 9, engine=engine,
+                               emit_path=tmp_path / "x.cnf", timeout=1.0)
 
     def test_s4_free_phi(self):
         p = pd.standard_example(4)
