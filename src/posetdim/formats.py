@@ -18,15 +18,16 @@ phi string lists the truth-table bit at every tuple index):
     order <i>: <N element indices>
     phi <binary string of length 2**D>
 
-Both parsers split the text at the line boundaries of ``str.splitlines``,
-strip each line and skip blank ones; a number is any token ``int()``
-accepts.  README.md ("File formats") states the full grammar.  The lines
-the serializers write take array paths that accept exactly the same
-texts: a run of ``rel <digits> <digits>`` lines, each ended by a newline,
-is read a block at a time by one numpy call, and so is an order line of
-ASCII digits and spaces; any other line is read token by token.  The
-serializers gather each line's numbers from a table of number tokens
-built once per call.
+This module owns how text is read, here and in sat.py's DIMACS and
+solver-output parsers: ``_lines`` gives the stripped non-empty lines of
+``str.splitlines`` a piece at a time, and ``_read_ints`` reads a list of
+numbers, each any token ``int()`` accepts.  README.md ("File formats")
+states the full grammar.  The lines the serializers write take array paths
+that accept exactly the same texts: a run of ``rel <digits> <digits>``
+lines, each ended by a newline, is read a block at a time by one numpy
+call, and so is a list of ASCII digits, spaces and leading minus signs;
+any other line is read token by token.  The serializers gather each line's
+numbers from a table of number tokens built once per call.
 """
 
 from __future__ import annotations
@@ -208,27 +209,39 @@ def serialize_realizer(r: BooleanRealizer) -> str:
     return b"\n".join(lines).decode("ascii")
 
 
-_INT64_MAX = np.iinfo(np.int64).max
+def _parse_int(token: str, error: type[Exception] = ParseError) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"bad number {token!r} in DIMACS or solver output") from None
 
 
-def _order_indices(body: str) -> np.ndarray:
-    """The whitespace-separated integers of an order line, as int64.  A
-    body of ASCII digits and spaces only is read by one numpy call, unless
-    a number saturates it at the int64 maximum.  Any other body goes
-    through ``int()`` token by token, which accepts signs, underscores and
-    non-ASCII digits and raises ValueError on the rest (and on a number of
-    more digits than the interpreter converts); a value outside
-    0..MAX_ELEMENTS-1 is read as -1, which no index takes either."""
-    if body.isascii() and not body.encode().translate(None, b"0123456789 "):
-        seq = np.fromstring(body, dtype=np.int64, sep=" ")
-        if seq.max() < _INT64_MAX:
-            return seq
-    values = [int(token) for token in body.split()]
-    return np.array([v if 0 <= v < MAX_ELEMENTS else -1 for v in values], dtype=np.int64)
+def _read_ints(body: str, bound: int, error: type[Exception] | None = None) -> np.ndarray:
+    """The whitespace-separated integers of body, in order, as int64; a
+    value outside -bound..bound reads as -bound - 1.  A body of ASCII
+    digits, spaces and minus signs, each sign at the start of a number, is
+    read by one numpy call, kept if every value lies in -bound..bound (a
+    number numpy saturates at an int64 limit does not).  Any other body
+    goes through ``int()`` token by token, which accepts plus signs,
+    underscores and non-ASCII digits; a token it refuses raises its
+    ValueError, or ``error`` through ``_parse_int``."""
+    padded = f" {body} "
+    if (
+        padded.isascii()
+        and not padded.encode().translate(None, b"0123456789- ")
+        and not body.isspace()  # numpy reads " " as [0]
+        and ("-" not in body or padded.count("-") == padded.count(" -") and "- " not in padded)
+    ):
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        if not len(values) or (-bound <= values.min() and values.max() <= bound):
+            return values
+    parse = int if error is None else lambda token: _parse_int(token, error)
+    values = [v if -bound <= v <= bound else -bound - 1 for v in map(parse, body.split())]
+    return np.array(values, dtype=np.int64)
 
 
 def parse_realizer(text: str) -> BooleanRealizer:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = list(_lines(text))
     if not lines or lines[0] != "realizer v1":
         raise ParseError("expected 'realizer v1' header")
     try:
@@ -244,7 +257,7 @@ def parse_realizer(text: str) -> BooleanRealizer:
             ln, prefix = lines[3 + i], f"order {i + 1}: "
             if not ln.startswith(prefix):
                 raise ParseError(f"expected 'order {i + 1}: ...', got {ln!r}")
-            seq = _order_indices(ln[len(prefix) :])
+            seq = _read_ints(ln[len(prefix) :], MAX_ELEMENTS)
             wrong = ParseError(f"order {i + 1} is not a permutation of 0..{n - 1}")
             if len(seq) != n:
                 raise wrong

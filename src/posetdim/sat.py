@@ -16,8 +16,8 @@ model checks, DIMACS export and the solver load work in slices of rows
 (_SLICE_ROWS), so their temporaries are the size of a slice, apart from
 the solver load's keep mask of one bool per clause.  DIMACS export gathers
 one 8- or 16-byte token slot per literal, so it never indexes bytes, into
-two buffers per block that it fills in place slice by slice.  A solver's
-model is read from its joined "v" lines by one numpy call.
+two buffers per block that it fills in place slice by slice.  DIMACS and
+solver output are read through the line and integer readers of formats.py.
 
 The encoder marks the clause copies it writes (CnfInstance.copies), and the
 internal solver loads each marked copy once; parsed and hand-built CNFs carry
@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 from array import array
@@ -52,6 +54,7 @@ from .errors import (
     UnparseableOutput,
 )
 from .errors import BadParameter
+from .formats import _lines, _parse_int, _read_ints
 from .poset import LinearOrder, Poset
 from .realizer import (
     MAX_ARITY,
@@ -65,7 +68,6 @@ from .realizer import (
 MAX_SAT_ELEMENTS = 128
 MAX_SAT_D = 8
 _MAX_VARS = np.iinfo(np.int32).max
-_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -711,13 +713,6 @@ def varmap_sidecar(varmap: VarMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, error: type[Exception] = ParseError) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise error(f"bad number {token!r} in DIMACS or solver output") from None
-
-
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse a DIMACS CNF document (comments allowed, no varmap recovered).
 
@@ -732,9 +727,8 @@ def parse_dimacs(text: str) -> CnfInstance:
     runs = array("q")  # clauses, width per closed run of equal width
     count = run_width = 0  # the open run; (0, 0) before the first clause
     start = 0  # where the open clause's literals begin
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for line in _lines(text):
+        if line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -777,41 +771,18 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance(num_vars=num_vars, clauses=clauses, varmap=VarMap())
 
 
-def _model_literals(body: str, num_vars: int) -> np.ndarray:
-    """The whitespace-separated numbers of body that name a variable in
-    1..num_vars, in order, as int64.  A body of ASCII digits, spaces and
-    minus signs, each sign at the start of a number, is read by one numpy
-    call, unless a number saturates it at an int64 limit.  Any other body
-    goes through ``int()`` token by token, which accepts plus signs,
-    underscores and non-ASCII digits and raises UnparseableOutput on the
-    rest."""
-    padded = f" {body} "
-    if (
-        padded.isascii()
-        and not padded.encode().translate(None, b"0123456789- ")
-        and padded.count("-") == padded.count(" -")
-        and "- " not in padded
-    ):
-        values = np.fromstring(body, dtype=np.int64, sep=" ")  # "" -> [], " " -> [0]
-        if not len(values) or (_INT64_MIN < values.min() and values.max() < _INT64_MAX):
-            return values[(values != 0) & (np.abs(values) <= num_vars)]
-    values = [_parse_int(token, UnparseableOutput) for token in body.split()]
-    return np.array([v for v in values if 0 < abs(v) <= num_vars], dtype=np.int64)
-
-
 def parse_solver_output(text: str, num_vars: int) -> SatResult:
     """Interpret SAT-competition style output ("s ..." and "v ..." lines).
 
     The last "s" line with a known tag gives the status.  The bodies of the
     "v" lines, wherever they stand, are joined and read at once (see
-    _model_literals); a bad number among them raises UnparseableOutput
+    formats._read_ints); a bad number among them raises UnparseableOutput
     whatever the status.  Literals outside 1..num_vars, and the closing 0,
     are ignored.
     """
     status = None
     bodies = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    for line in _lines(text):
         if line.startswith("s "):
             tag = line[2:].strip().upper()
             if tag == "SATISFIABLE":
@@ -822,11 +793,12 @@ def parse_solver_output(text: str, num_vars: int) -> SatResult:
                 status = "unknown"
         elif line.startswith("v ") or line == "v":
             bodies.append(line[1:])
-    lits = _model_literals(" ".join(bodies), num_vars)
+    lits = _read_ints(" ".join(bodies), num_vars, UnparseableOutput)
     if status is None:
         raise UnparseableOutput("no recognizable 's' result line in solver output")
     if status != "sat":
         return SatResult(status=status)
+    lits = lits[np.abs(lits) <= num_vars]  # 0 sets the unused index 0 to False
     assignment = np.zeros(num_vars + 1, dtype=bool)
     assignment[np.abs(lits)] = lits > 0
     return SatResult(status="sat", assignment=assignment)
@@ -836,8 +808,10 @@ def run_external_solver(
     cnf: CnfInstance, solver_command: str, timeout: float | None = None
 ) -> SatResult:
     """Run a DIMACS solver ("{cnf}" in the command is replaced by the file
-    path) and re-check any claimed model locally.  A solver still running
-    after timeout seconds is killed (SolverTimeout).
+    path) and re-check any claimed model locally.  The solver runs in a
+    session of its own; if it is still running after timeout seconds
+    (SolverTimeout), or the wait is interrupted, its whole process group is
+    killed, so a wrapper's children do not outlive it.
 
     Unsat answers are necessarily taken on trust and flagged unverified.
     """
@@ -849,21 +823,24 @@ def run_external_solver(
         else:
             command = f"{solver_command} {path}"
         try:
-            proc = subprocess.run(
-                shlex.split(command),
-                capture_output=True,
-                text=True,
-                timeout=timeout,
+            proc = subprocess.Popen(
+                shlex.split(command), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            raise SolverTimeout(f"{command!r} timed out after {timeout} s") from None
         except OSError as exc:
             raise SolverLaunchFailed(f"could not run {command!r}: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                raise SolverTimeout(f"{command!r} timed out after {timeout} s") from None
+            finally:
+                if proc.returncode is None:  # timed out or interrupted
+                    os.killpg(proc.pid, signal.SIGKILL)
     try:
-        result = parse_solver_output(proc.stdout, cnf.num_vars)
+        result = parse_solver_output(stdout, cnf.num_vars)
     except UnparseableOutput as exc:
-        stderr_lines = proc.stderr.strip().splitlines()
-        last = stderr_lines[-1] if stderr_lines else ""
+        last = (stderr.strip().splitlines() or [""])[-1]
         raise UnparseableOutput(
             f"{exc} (solver exit code {proc.returncode}, last stderr line: {last!r})"
         ) from None

@@ -8,6 +8,7 @@ bitmasks, which makes the class checks a handful of big-integer operations.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -24,6 +25,7 @@ from .realizer import (
 
 MAX_DIM_ELEMENTS = 10
 MAX_DIM_EXTENSIONS = 2000
+MAX_DIM_SUBSETS = 10**7  # subsets of one size: a few seconds of work
 MAX_BDIM_ELEMENTS = 5
 MAX_BDIM_D = 3
 
@@ -78,8 +80,9 @@ def exact_dim(
     together with a witness family; None if d_max cuts the search short.
 
     Enumerates all linear extensions, then subsets of increasing size.  The
-    guards (MAX_DIM_ELEMENTS elements, MAX_DIM_EXTENSIONS extensions) fail
-    loudly on posets too big for that plan; ``force=True`` lifts both.
+    guards (MAX_DIM_ELEMENTS elements, MAX_DIM_EXTENSIONS extensions, and
+    MAX_DIM_SUBSETS subsets of the size about to be tried) fail loudly on
+    posets too big for that plan; ``force=True`` lifts all three.
     """
     if not force and p.n > MAX_DIM_ELEMENTS:
         raise GuardExceeded(
@@ -95,6 +98,11 @@ def exact_dim(
     ext_masks = [_before_mask(o.rank, n) for o in extensions]
     top = len(extensions) if d_max is None else min(d_max, len(extensions))
     for d in range(1, top + 1):
+        subsets = math.comb(len(extensions), d)
+        if not force and subsets > MAX_DIM_SUBSETS:
+            raise GuardExceeded(
+                f"{subsets} subsets of size {d} exceed the {MAX_DIM_SUBSETS}-subset guard"
+            )
         for combo in combinations(range(len(extensions)), d):
             meet = universe
             for i in combo:

@@ -15,9 +15,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from posetdim.errors import ParseError, ToolkitError, UnparseableOutput
+from posetdim.formats import _parse_int
 from posetdim.poset import MAX_ELEMENTS, LinearOrder, Poset, from_relation_pairs
 from posetdim.realizer import BooleanRealizer, TruthTable
-from posetdim.sat import SatResult, _parse_int
+from posetdim.sat import SatResult
 
 
 def _check_size(n: int) -> None:

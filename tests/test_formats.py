@@ -492,12 +492,14 @@ class TestParserDifferential:
             "0 1 2", "2  1 0", "0\t1 2", "00 01 0002", "+0 1 2", "0 1_0 2",
             "٠ ١ ٢", "0 1 00000000000000000002", "-0 1 2", "0 1", "0 1 2 2",
             f"0 1 {2**64 + 2}", f"0 1 {2**63 + 2}", f"0 1 {2**63}", "0 1 -2",
-            "0\xa01 2", f"0 1 {2**63 - 1}", "0 1 " + "9" * 5000,
+            "0\xa01 2", f"0 1 {2**63 - 1}", "0 1 " + "9" * 5000, "0 -1 2",
+            "0 1 --2", "0 - 1 2", f"0 1 {-2**63}",
         ],
     )
     def test_order_lines_match_the_reference(self, order):
-        # 2**64 + 2 and 2**63 + 2 would wrap to the valid index 2.  int()
-        # refuses 5000 digits with its own message.
+        # 2**64 + 2 and 2**63 + 2 would wrap to the valid index 2, and -2**63
+        # is the int64 minimum.  int() refuses 5000 digits with its own
+        # message.  Minus signs at the start of a number take the array path.
         text = f"realizer v1\nn 3\nd 1\norder 1: {order}\nphi 01\n"
         assert outcome(parse_realizer, text) == outcome(reference.parse_realizer, text)
 

@@ -1040,6 +1040,15 @@ def _script(tmp_path, name, body):
     return str(path)
 
 
+def _running(pid):
+    """Whether pid names a process that is neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestExternalSolver:
     def test_launch_failure(self):
         cnf = pd.encode_bdim_sat(pd.chain(2), 1)
@@ -1095,7 +1104,7 @@ class TestExternalSolver:
             raise AssertionError("an instance with a bad literal was written")
 
         monkeypatch.setattr(pd.sat, "write_dimacs", unreachable)
-        monkeypatch.setattr(pd.sat.subprocess, "run", unreachable)
+        monkeypatch.setattr(pd.sat.subprocess, "Popen", unreachable)
         with pytest.raises(BadParameter):
             cnf = CnfInstance(num_vars, clauses, VarMap())
             pd.run_external_solver(cnf, "solver {cnf}")
@@ -1134,6 +1143,20 @@ class TestExternalSolver:
         with pytest.raises(SolverTimeout):
             pd.search_realizer(pd.chain(2), 1, engine="external",
                                solver_command=command, timeout=0.5)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_timeout_stops_a_wrapped_solver(self, tmp_path):
+        # The wrapper shell starts the solver as its child and waits for it.
+        pidfile = tmp_path / "child.pid"
+        command = f"sh -c 'sleep 30 & echo $! > {pidfile}; wait' {{cnf}}"
+        cnf = CnfInstance(1, [[1]], VarMap())
+        with pytest.raises(SolverTimeout):
+            pd.run_external_solver(cnf, command, timeout=0.5)
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 5
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
 
 
 class TestSearchRealizer:

@@ -6,6 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 import posetdim as pd
+from posetdim import search
 from posetdim.errors import GuardExceeded
 from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
 from posetdim.search import _before_mask, _consistent_phi, _leq_masks
@@ -48,6 +49,17 @@ class TestExactDim:
 
     def test_guard_override(self):
         assert pd.exact_dim(pd.antichain(6), force=True)[0] == 2
+
+    def test_subset_guard(self):
+        # S4 has 720 linear extensions: C(720, 3) triples exceed the guard.
+        with pytest.raises(GuardExceeded, match="subsets of size 3"):
+            pd.exact_dim(pd.standard_example(4))
+
+    def test_subset_guard_override(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_DIM_SUBSETS", 14)  # C(6, 2) = 15
+        with pytest.raises(GuardExceeded):
+            pd.exact_dim(pd.antichain(3))
+        assert pd.exact_dim(pd.antichain(3), force=True)[0] == 2
 
     def test_witnesses_verify(self):
         for name, p in dim_corpus():
