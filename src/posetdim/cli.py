@@ -67,11 +67,12 @@ def _write_out(text: str, out: str | None) -> None:
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
-        if sep:
-            return range(int(lo), int(hi) + 1)
-        return range(int(lo), int(lo) + 1)
+        start, end = int(lo), int(hi if sep else lo)
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}, expected A or A:B") from exc
+    if end < start:
+        raise UsageError(f"range {text!r} ends below its start")
+    return range(start, end + 1)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -112,10 +113,11 @@ def cmd_build_upper(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     n_range = _parse_range(args.n)
     m_range = _parse_range(args.m)
-    # ranges ascend: checked before the header, so a usage error prints nothing
-    if n_range and n_range[0] < 1:
+    # _parse_range returns no empty range; checked before the header, so a
+    # usage error prints nothing
+    if n_range[0] < 1:
         raise UsageError("bounds need n >= 1")
-    if n_range and m_range and m_range[0] < 1:
+    if m_range[0] < 1:
         raise UsageError("bounds need m >= 1")
     header = (
         f"{'n':>4} {'m':>4} {'|D|':>6} {'raw_bound':>12} "
@@ -176,6 +178,8 @@ def cmd_signatures(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    if args.d_max is not None and args.d_max < 0:
+        raise UsageError(f"--d-max must be >= 0: {args.d_max}")
     p = parse_poset_spec(args.poset)
     mode = _MODE_FLAGS[args.mode]
     t0 = time.perf_counter()

@@ -171,7 +171,14 @@ class TestBoundsCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv", [["--n", "0"], ["--n", "3", "--m", "0"], ["--n", "0:3"]]
+        "argv",
+        [
+            ["--n", "0"],
+            ["--n", "3", "--m", "0"],
+            ["--n", "0:3"],
+            ["--n", "5:3"],
+            ["--n", "3", "--m", "4:2"],
+        ],
     )
     def test_out_of_range_prints_nothing(self, capsys, argv):
         code, out, err = run(capsys, "bounds", *argv)
@@ -270,6 +277,15 @@ class TestExactCommand:
     def test_not_found(self, capsys):
         code, out, _ = run(capsys, "exact", "boolean:2", "bdim", "--d-max", "1")
         assert code == 1 and "not found" in out
+
+    @pytest.mark.parametrize("what", ["dim", "bdim"])
+    def test_negative_d_max_is_a_usage_error(self, capsys, tmp_path, what):
+        # checked before the poset is parsed: a missing file is not reached
+        for poset in ("chain:3", str(tmp_path / "missing.poset")):
+            code, out, err = run(capsys, "exact", poset, what, "--d-max", "-1")
+            assert code == 2 and out == "" and err.startswith("usage error:")
+        code, out, _ = run(capsys, "exact", "chain:3", what, "--d-max", "0")
+        assert code == 1 and out == "not found within d_max=0\n"
 
     def test_witness_out(self, capsys, tmp_path):
         path = tmp_path / "w.realizer"

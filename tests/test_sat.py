@@ -38,7 +38,6 @@ from posetdim.sat import (
     VarMap,
     _dimacs_chunks,
     _literal_table,
-    _solver_clauses,
     check_model,
     internal_sat_solve,
     parse_dimacs,
@@ -47,6 +46,7 @@ from posetdim.sat import (
     varmap_sidecar,
     write_dimacs,
 )
+from posetdim.solver import _solver_clauses
 
 
 class TestEncoding:

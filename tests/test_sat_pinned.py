@@ -1,6 +1,13 @@
 """Pinned outputs of the SAT path: emitted DIMACS and varmap bytes, and the
 internal solver's answers, conflict counts and models on fixed instances.
 
+The solver's pins come in two groups.  The first holds what any complete
+solver must reproduce: the sat or unsat status of each decided instance, with
+a checked model on sat.  The second holds what only the DPLL of solver.py
+does: its conflict counts, its models, its search tree under clause
+reordering and the instances it leaves "unknown" at a conflict budget.  A
+solver with another search re-pins the second group and keeps the first.
+
 The digests and trajectories below were recorded from the list-based encoder
 and solver load that preceded the array-based ones, except the B6 pin, which
 is the only instance large enough to span several DIMACS write chunks and was
@@ -18,13 +25,8 @@ import pytest
 import posetdim as pd
 from posetdim import cli
 from posetdim.formats import parse_poset_spec
-from posetdim.sat import (
-    CnfInstance,
-    VarMap,
-    _branch_order,
-    check_model,
-    internal_sat_solve,
-)
+from posetdim.sat import CnfInstance, VarMap, check_model, internal_sat_solve
+from posetdim.solver import _branch_order
 
 EMIT_GOLDEN = [
     (
@@ -82,19 +84,15 @@ TRAJECTORIES = [
     ("standard:5", 5, "and", 2000, "unknown", 2001, None),
 ]
 
+# The rows any complete solver decides: sat or unsat, with no budget.
+DECIDED = [row[:5] for row in TRAJECTORIES if row[4] != "unknown"]
 
-@pytest.mark.parametrize("spec, d, phi, limit, status, conflicts, mask", TRAJECTORIES)
-def test_solver_trajectory_pinned(spec, d, phi, limit, status, conflicts, mask):
+
+def _trajectory(spec, d, phi, limit):
+    """The internal solver's result on a TRAJECTORIES row's instance."""
     fixed = None if phi == "free" else pd.and_function(d)
     cnf = pd.encode_bdim_sat(parse_poset_spec(spec), d, fixed_phi=fixed)
-    result = internal_sat_solve(cnf, conflict_limit=limit)
-    assert result.status == status
-    assert result.conflicts == conflicts
-    if mask is None:
-        assert result.assignment is None
-    else:
-        assert _model_mask(result.assignment) == mask
-        assert result.model_verified
+    return internal_sat_solve(cnf, conflict_limit=limit)
 
 
 def _random_cnf(rng):
@@ -113,6 +111,73 @@ def _random_cnf(rng):
     return nv, clauses
 
 
+def _reference_dpll(nv, clauses, varmap):
+    """(status, conflicts, assignment) of a naive recursive DPLL with the
+    internal solver's rules: each clause taken as its literal set,
+    tautologies dropped; complementary unit clauses give unsat with no
+    conflict; unit propagation rescans every clause to a fixpoint; branching
+    follows _branch_order over the variables left, True first; a variable
+    that is never assigned is True in the model."""
+    sets = [s for s in map(set, clauses) if not any(-lit in s for lit in s)]
+    units = {lit for s in sets if len(s) == 1 for lit in s}
+    if any(-lit in units for lit in units):
+        return "unsat", 0, None
+    used = np.array(sorted({abs(lit) for s in sets for lit in s}), dtype=np.int64)
+    order = _branch_order(varmap, used)
+    conflicts = 0
+
+    def search(true):  # true: the set of literals assigned True
+        nonlocal conflicts
+        while True:  # unit propagation by full clause scans
+            new = set()
+            for s in sets:
+                if not s & true:
+                    free = {lit for lit in s if -lit not in true}
+                    if not free:
+                        conflicts += 1
+                        return None
+                    if len(free) == 1:
+                        new |= free
+            if not new:
+                break
+            if any(-lit in new for lit in new):
+                conflicts += 1
+                return None
+            true = true | new
+        var = next((v for v in order if v not in true and -v not in true), None)
+        if var is None:
+            return true
+        return search(true | {var}) or search(true | {-var})
+
+    true = search(units)
+    if true is None:
+        return "unsat", conflicts, None
+    return "sat", conflicts, [False, *(-v not in true for v in range(1, nv + 1))]
+
+
+def _reference_cases():
+    """(num_vars, clauses, varmap) of the brute-force test's instances, then
+    of B3 at d = 2."""
+    rng = random.Random(20261018)  # the brute-force test's instances
+    cases = [(*_random_cnf(rng), VarMap()) for _ in range(400)]
+    b3 = pd.encode_bdim_sat(pd.boolean_lattice(3), 2)  # pinned above: 56 conflicts
+    b3_clauses = [row for block in b3.clauses.blocks for row in block.tolist()]
+    cases.append((b3.num_vars, b3_clauses, b3.varmap))
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# What any complete solver must reproduce
+
+
+@pytest.mark.parametrize("spec, d, phi, limit, status", DECIDED)
+def test_solver_status_pinned(spec, d, phi, limit, status):
+    result = _trajectory(spec, d, phi, limit)
+    assert result.status == status
+    if status == "sat":
+        assert result.model_verified
+
+
 def test_solver_agrees_with_brute_force_on_messy_clauses():
     rng = random.Random(20261018)
     seen_marked = seen_units = 0
@@ -129,6 +194,40 @@ def test_solver_agrees_with_brute_force_on_messy_clauses():
         if brute_sat:
             assert check_model(clauses, result.assignment)
     assert seen_marked > 100 and seen_units > 100
+
+
+def test_solver_status_matches_reference_dpll():
+    for trial, (nv, clauses, varmap) in enumerate(_reference_cases()):
+        result = internal_sat_solve(CnfInstance(nv, clauses, varmap))
+        want = _reference_dpll(nv, clauses, varmap)
+        assert result.status == want[0], (trial, clauses)
+
+
+# ---------------------------------------------------------------------------
+# What only this DPLL does: conflict counts, models, the search tree under
+# clause reordering, and answers within a conflict budget
+
+
+@pytest.mark.parametrize("spec, d, phi, limit, status, conflicts, mask", TRAJECTORIES)
+def test_solver_trajectory_pinned(spec, d, phi, limit, status, conflicts, mask):
+    result = _trajectory(spec, d, phi, limit)
+    if status == "unknown":  # budget-bound: another search may decide it
+        assert result.status == status
+    assert result.conflicts == conflicts
+    if mask is None:
+        assert result.assignment is None
+    else:
+        assert _model_mask(result.assignment) == mask
+
+
+def test_solver_matches_reference_dpll():
+    seen_conflicts = 0
+    for trial, (nv, clauses, varmap) in enumerate(_reference_cases()):
+        result = internal_sat_solve(CnfInstance(nv, clauses, varmap))
+        want = _reference_dpll(nv, clauses, varmap)
+        assert _outcome(result)[1:] == want[1:], (trial, clauses)
+        seen_conflicts += result.conflicts > 0
+    assert seen_conflicts > 25 and result.conflicts == 56
 
 
 def _wide_cnf(rng):
@@ -190,62 +289,3 @@ def test_benchmark_question_pinned():
     result = internal_sat_solve(cnf, conflict_limit=2000)
     got = (result.status, result.conflicts, result.assignment)
     assert got == ("unknown", 2001, None)
-
-
-def _reference_dpll(nv, clauses, varmap):
-    """(status, conflicts, assignment) of a naive recursive DPLL with the
-    internal solver's rules: each clause taken as its literal set,
-    tautologies dropped; complementary unit clauses give unsat with no
-    conflict; unit propagation rescans every clause to a fixpoint; branching
-    follows _branch_order over the variables left, True first; a variable
-    that is never assigned is True in the model."""
-    sets = [s for s in map(set, clauses) if not any(-lit in s for lit in s)]
-    units = {lit for s in sets if len(s) == 1 for lit in s}
-    if any(-lit in units for lit in units):
-        return "unsat", 0, None
-    used = np.array(sorted({abs(lit) for s in sets for lit in s}), dtype=np.int64)
-    order = _branch_order(varmap, used)
-    conflicts = 0
-
-    def search(true):  # true: the set of literals assigned True
-        nonlocal conflicts
-        while True:  # unit propagation by full clause scans
-            new = set()
-            for s in sets:
-                if not s & true:
-                    free = {lit for lit in s if -lit not in true}
-                    if not free:
-                        conflicts += 1
-                        return None
-                    if len(free) == 1:
-                        new |= free
-            if not new:
-                break
-            if any(-lit in new for lit in new):
-                conflicts += 1
-                return None
-            true = true | new
-        var = next((v for v in order if v not in true and -v not in true), None)
-        if var is None:
-            return true
-        return search(true | {var}) or search(true | {-var})
-
-    true = search(units)
-    if true is None:
-        return "unsat", conflicts, None
-    return "sat", conflicts, [False, *(-v not in true for v in range(1, nv + 1))]
-
-
-def test_solver_matches_reference_dpll():
-    rng = random.Random(20261018)  # the brute-force test's instances
-    cases = [(*_random_cnf(rng), VarMap()) for _ in range(400)]
-    b3 = pd.encode_bdim_sat(pd.boolean_lattice(3), 2)  # pinned above: 56 conflicts
-    b3_clauses = [row for block in b3.clauses.blocks for row in block.tolist()]
-    cases.append((b3.num_vars, b3_clauses, b3.varmap))
-    seen_conflicts = 0
-    for trial, (nv, clauses, varmap) in enumerate(cases):
-        result = internal_sat_solve(CnfInstance(nv, clauses, varmap))
-        want = _reference_dpll(nv, clauses, varmap)
-        assert _outcome(result) == want, (trial, clauses)
-        seen_conflicts += result.conflicts > 0
-    assert seen_conflicts > 25 and result.conflicts == 56
