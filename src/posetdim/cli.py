@@ -76,6 +76,8 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1: {args.threads}")
     p = parse_poset_spec(args.poset)
     r = parse_realizer_spec(args.realizer)
     mode = _MODE_FLAGS[args.mode]
@@ -292,12 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sig.set_defaults(func=cmd_signatures)
 
-    p_exact = sub.add_parser("exact", help="brute-force exact dim or bdim")
+    p_exact = sub.add_parser(
+        "exact", help="exact dim or bdim: the least d at which the SAT encoding is sat"
+    )
     p_exact.add_argument("poset")
     p_exact.add_argument("what", choices=("dim", "bdim"))
     p_exact.add_argument("--d-max", type=int, default=None)
     add_mode(p_exact)
-    p_exact.add_argument("--force", action="store_true", help="lift search guards")
+    p_exact.add_argument(
+        "--force", action="store_true", help="lift exact's guards, not the encoder's"
+    )
     p_exact.add_argument("--out", default=None, help="write the witness realizer")
     p_exact.set_defaults(func=cmd_exact)
 

@@ -42,7 +42,7 @@ class NotAnExtension(ToolkitError):
 
 
 class GuardExceeded(ToolkitError):
-    """A brute-force guard (element count, extension count, arity) tripped."""
+    """A search or encoder guard (element count, extension count, arity) tripped."""
 
 
 class FixedPhiArityMismatch(ToolkitError):

@@ -1,17 +1,25 @@
-"""Brute-force exact dimension and Boolean dimension, and the phi-consistency
-reduction they rest on."""
+"""Exact dimension and Boolean dimension through the SAT engine, checked
+against the brute force of reference_search.py on every small poset, and
+the phi-consistency reduction that brute force rests on."""
 
-from itertools import product as iproduct
+import os
+import time
+from itertools import permutations, product as iproduct
 
 import pytest
 
 import posetdim as pd
-from posetdim import search
 from posetdim.errors import GuardExceeded
 from posetdim.realizer import DISTINCT_ONLY, REFLEXIVE_INCLUSIVE
-from posetdim.search import _before_mask, _consistent_phi, _leq_masks
 
+import reference_search
 from corpus import dim_corpus, four_element_posets
+from reference_search import _before_mask, _consistent_phi, _leq_masks
+
+long_run = pytest.mark.skipif(
+    os.environ.get("POSETDIM_RUN_LONG") != "1",
+    reason="set POSETDIM_RUN_LONG=1 to run the 5-element labelled differential",
+)
 
 
 class TestExactDim:
@@ -51,15 +59,8 @@ class TestExactDim:
         assert pd.exact_dim(pd.antichain(6), force=True)[0] == 2
 
     def test_subset_guard(self):
-        # S4 has 720 linear extensions: C(720, 3) triples exceed the guard.
-        with pytest.raises(GuardExceeded, match="subsets of size 3"):
-            pd.exact_dim(pd.standard_example(4))
-
-    def test_subset_guard_override(self, monkeypatch):
-        monkeypatch.setattr(search, "MAX_DIM_SUBSETS", 14)  # C(6, 2) = 15
-        with pytest.raises(GuardExceeded):
-            pd.exact_dim(pd.antichain(3))
-        assert pd.exact_dim(pd.antichain(3), force=True)[0] == 2
+        # within every guard: 8 elements and 720 linear extensions
+        assert pd.exact_dim(pd.standard_example(4))[0] == 4
 
     def test_witnesses_verify(self):
         for name, p in dim_corpus():
@@ -128,16 +129,14 @@ class TestExactBdim:
             pd.exact_bdim(pd.chain(3), d_max=4)
 
     def test_symmetry_reduction_sound(self):
-        """One-off validation: restricting to non-decreasing order tuples
-        never changes the d <= 2 decision on 4-element posets."""
-        from itertools import permutations
-
+        """The oracle's restriction to non-decreasing order tuples never
+        changes the d <= 2 decision on 4-element posets."""
         for name, p in four_element_posets():
             ranks = [pd.LinearOrder.from_sequence(list(s))
                      for s in permutations(range(4))]
             for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
                 for d in (1, 2):
-                    reduced = pd.exact_bdim(p, d_max=d, mode=mode)
+                    reduced = reference_search.exact_bdim(p, d_max=d, mode=mode)
                     reduced_found = reduced is not None and reduced[0] <= d
                     full_found = any(
                         consistent_phi(p, list(combo), mode) is not None
@@ -164,3 +163,78 @@ class TestExactBdim:
                 ),
             )
             assert pd.verify(p, lifted).ok, name
+
+
+def _one_more(pairs, n):
+    """Every poset on n + 1 elements that restricts to the strict pairs
+    ``pairs`` on range(n): element n goes above a down-set and below an
+    up-set, with all of the down-set below all of the up-set."""
+    below = [{x for x, z in pairs if z == y} for y in range(n)]
+    above = [{z for x, z in pairs if x == y} for y in range(n)]
+    for place in iproduct((None, "down", "up"), repeat=n):
+        down = {x for x in range(n) if place[x] == "down"}
+        up = {x for x in range(n) if place[x] == "up"}
+        if any(below[x] - down for x in down) or any(above[x] - up for x in up):
+            continue
+        if all((x, y) in pairs for x in down for y in up):
+            yield pairs | {(x, n) for x in down} | {(n, y) for y in up}
+
+
+def _canonical(pairs, n):
+    return min(
+        tuple(sorted((perm[x], perm[y]) for x, y in pairs))
+        for perm in permutations(range(n))
+    )
+
+
+def all_posets(n, labelled):
+    """Every poset on {0, ..., n-1} as a frozenset of strict pairs (x, y),
+    x < y; up to isomorphism unless labelled."""
+    level = [frozenset()]
+    for k in range(1, n):
+        grown = (frozenset(q) for pairs in level for q in _one_more(pairs, k))
+        if labelled:
+            level = list(grown)
+        else:
+            level = list({_canonical(q, k + 1): q for q in grown}.values())
+    return level
+
+
+def _matches_oracle(pairs, n):
+    p = pd.from_relation_pairs(n, None, sorted(pairs))
+    assert pd.exact_dim(p)[0] == reference_search.exact_dim(p)[0], pairs
+    for mode in (REFLEXIVE_INCLUSIVE, DISTINCT_ONLY):
+        got, want = pd.exact_bdim(p, mode=mode), reference_search.exact_bdim(p, mode=mode)
+        assert (got and got[0]) == (want and want[0]), (pairs, mode)
+
+
+class TestOracleDifferential:
+    """exact_dim, and exact_bdim at d <= 3 in both modes, against the
+    brute force of reference_search.py."""
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63)])
+    def test_unlabelled(self, n, count):
+        posets = all_posets(n, labelled=False)
+        assert len(posets) == count
+        for pairs in posets:
+            _matches_oracle(pairs, n)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 19), (4, 219)])
+    def test_labelled(self, n, count):
+        posets = all_posets(n, labelled=True)
+        assert len(posets) == count
+        for pairs in posets:
+            _matches_oracle(pairs, n)
+
+    @long_run
+    def test_labelled_five(self, capsys):
+        t0 = time.perf_counter()
+        posets = all_posets(5, labelled=True)
+        assert len(posets) == 4231
+        for pairs in posets:
+            _matches_oracle(pairs, 5)
+        with capsys.disabled():
+            print(
+                f"\nlabelled 5-element differential: {len(posets)} posets, "
+                f"0 mismatches, {time.perf_counter() - t0:.1f}s"
+            )
