@@ -9,6 +9,7 @@ error, 4 guard exceeded, solver failure or solver timeout.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -46,6 +47,11 @@ from .search import MAX_BDIM_D, exact_bdim, exact_dim
 from .sat import search_realizer
 
 _MODE_FLAGS = {"reflexive": REFLEXIVE_INCLUSIVE, "distinct": DISTINCT_ONLY}
+
+# The largest n a bounds table may reach: its min_m cell grows about as
+# n**3.3 (about 10 s at n = 1000), and from n = 1372 on it has more digits
+# than str() converts.
+MAX_BOUNDS_N = 1000
 
 
 def _bits(query: tuple[int, ...]) -> str:
@@ -116,11 +122,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     n_range = _parse_range(args.n)
     m_range = _parse_range(args.m)
     # _parse_range returns no empty range; checked before the header, so a
-    # usage error prints nothing
+    # usage or guard error prints nothing
     if n_range[0] < 1:
         raise UsageError("bounds need n >= 1")
     if m_range[0] < 1:
         raise UsageError("bounds need m >= 1")
+    if n_range[-1] > MAX_BOUNDS_N:
+        raise GuardExceeded(
+            f"n = {n_range[-1]} exceeds the bounds guard of {MAX_BOUNDS_N}"
+        )
     header = (
         f"{'n':>4} {'m':>4} {'|D|':>6} {'raw_bound':>12} "
         f"{'int_bound':>9}  {'formula':<12} {'min_m':>8}"
@@ -331,9 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call, not at import,
+    and reused by every later call in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -42,7 +42,8 @@ class NotAnExtension(ToolkitError):
 
 
 class GuardExceeded(ToolkitError):
-    """A search or encoder guard (element count, extension count, arity) tripped."""
+    """A search, encoder or bounds-table guard (element count, extension
+    count, arity, table size) tripped."""
 
 
 class FixedPhiArityMismatch(ToolkitError):

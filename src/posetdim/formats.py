@@ -18,10 +18,10 @@ phi string lists the truth-table bit at every tuple index):
     order <i>: <N element indices>
     phi <binary string of length 2**D>
 
-This module owns how text is read, here and in sat.py's DIMACS and
-solver-output parsers: ``_lines`` gives the stripped non-empty lines of
-``str.splitlines`` a piece at a time, and ``_read_ints`` reads a list of
-numbers, each any token ``int()`` accepts.  README.md ("File formats")
+This module owns how text is read, here and in sat.py's solver-output
+parser: ``_lines`` gives the stripped non-empty lines of ``str.splitlines``
+a piece at a time, and ``_read_ints`` reads a list of numbers, each any
+token ``int()`` accepts.  README.md ("File formats")
 states the full grammar.  The lines the serializers write take array paths
 that accept exactly the same texts: a run of ``rel <digits> <digits>``
 lines, each ended by a newline, is read a block at a time by one numpy
@@ -209,11 +209,11 @@ def serialize_realizer(r: BooleanRealizer) -> str:
     return b"\n".join(lines).decode("ascii")
 
 
-def _parse_int(token: str, error: type[Exception] = ParseError) -> int:
+def _parse_int(token: str, error: type[Exception]) -> int:
     try:
         return int(token)
     except ValueError:
-        raise error(f"bad number {token!r} in DIMACS or solver output") from None
+        raise error(f"bad number {token!r} in solver output") from None
 
 
 def _read_ints(body: str, bound: int, error: type[Exception] | None = None) -> np.ndarray:

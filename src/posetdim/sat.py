@@ -12,13 +12,13 @@ int32 array, read as blocks of equal-width clauses (see ClauseArray), so
 encoding, DIMACS export, model checks and decoding are array operations
 rather than per-literal Python work.  The encoder writes its literals in
 place, each order's by closed-form arithmetic on order 0's, and marks the
-clause copies it writes (CnfInstance.copies); parsed and hand-built CNFs
-carry no mask.  The encoder, model checks and DIMACS export work in slices
-of rows (_SLICE_ROWS), so their temporaries are the size of a slice.  DIMACS
-export gathers one 8- or 16-byte token slot per literal, so it never indexes
+clause copies it writes (CnfInstance.copies); hand-built CNFs carry no
+mask.  The encoder, model checks and DIMACS export work in slices of rows
+(_SLICE_ROWS), so their temporaries are the size of a slice.  DIMACS export
+gathers one 8- or 16-byte token slot per literal, so it never indexes
 bytes, into two buffers per block that it fills in place slice by slice.
-DIMACS and solver output are read through the line and integer readers of
-formats.py.  Models are bool arrays indexed by variable id.
+DIMACS is export only; solver output is read through the line and integer
+readers of formats.py.  Models are bool arrays indexed by variable id.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import shlex
 import signal
 import subprocess
 import tempfile
-from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, groupby
@@ -42,13 +41,12 @@ from .errors import (
     FixedPhiArityMismatch,
     GuardExceeded,
     ModelCheckFailed,
-    ParseError,
     SolverLaunchFailed,
     SolverTimeout,
     UnparseableOutput,
 )
 from .errors import BadParameter
-from .formats import _lines, _parse_int, _read_ints
+from .formats import _lines, _read_ints
 from .poset import LinearOrder, Poset
 from .realizer import (
     MAX_ARITY,
@@ -62,7 +60,6 @@ from .solver import internal_sat_solve
 
 MAX_SAT_ELEMENTS = 128
 MAX_SAT_D = 8
-_MAX_VARS = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,8 @@ class VarMap:
     Order variables come first, order-major with pairs x < y ascending:
     ``var(i, x, y) = 1 + i*C(n,2) + rank(x, y)``.  Truth-table variables
     follow when phi is free: ``phi(t) = 1 + d*C(n,2) + t``.  Auxiliary
-    variables come last.  ``VarMap()`` numbers nothing, as for parsed or
-    hand-built instances.
+    variables come last.  ``VarMap()`` numbers nothing, as for hand-built
+    instances.
     """
 
     n: int = 0
@@ -182,7 +179,6 @@ class CnfInstance:
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
     assignment: np.ndarray | None = None  # bool, 1-based; index 0 unused
-    model_verified: bool = False
     conflicts: int = 0
 
 
@@ -480,64 +476,6 @@ def varmap_sidecar(varmap: VarMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text: str) -> CnfInstance:
-    """Parse a DIMACS CNF document (comments allowed, no varmap recovered).
-
-    The document holds one "p cnf" header, before any clause, and every
-    literal must name a variable in 1..num_vars.  An empty clause (a ``0``
-    that ends no literal) is rejected with ParseError: DIMACS allows it,
-    but a CnfInstance holds none.
-    """
-    num_vars = None
-    expected_clauses = None
-    lits = array("i")  # in range, so int32, once checked
-    runs = array("q")  # clauses, width per closed run of equal width
-    count = run_width = 0  # the open run; (0, 0) before the first clause
-    start = 0  # where the open clause's literals begin
-    for line in _lines(text):
-        if line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad DIMACS header: {line!r}")
-            if num_vars is not None:
-                raise ParseError(f"second DIMACS header: {line!r}")
-            num_vars, expected_clauses = map(_parse_int, parts[2:])
-            if not 0 <= num_vars <= _MAX_VARS:
-                raise ParseError(f"DIMACS variable count {num_vars} out of range")
-            continue
-        if num_vars is None:
-            raise ParseError("clause before DIMACS header")
-        for tok in line.split():
-            lit = _parse_int(tok)
-            if lit == 0:
-                width = len(lits) - start
-                if not width:
-                    raise ParseError("empty clause in DIMACS input")
-                if width != run_width:
-                    runs.extend((count, run_width))
-                    count, run_width = 0, width
-                count += 1
-                start = len(lits)
-            elif abs(lit) > num_vars:
-                raise ParseError(f"literal {lit} out of range for {num_vars} variables")
-            else:
-                lits.append(lit)
-    if len(lits) > start:
-        raise ParseError("unterminated clause at end of DIMACS input")
-    if num_vars is None:
-        raise ParseError("missing DIMACS header")
-    runs.extend((count, run_width))
-    lits, runs = np.frombuffer(lits, np.int32), np.frombuffer(runs, np.int64)
-    clauses = ClauseArray.from_runs(lits, runs)  # drops the empty first run
-    if expected_clauses != len(clauses):
-        raise ParseError(
-            f"header promises {expected_clauses} clauses, found {len(clauses)}"
-        )
-    return CnfInstance(num_vars=num_vars, clauses=clauses, varmap=VarMap())
-
-
 def parse_solver_output(text: str, num_vars: int) -> SatResult:
     """Interpret SAT-competition style output ("s ..." and "v ..." lines).
 
@@ -614,7 +552,6 @@ def run_external_solver(
     if result.status == "sat":
         if not check_model(cnf.clauses, result.assignment):
             raise ModelCheckFailed("external solver model violates a clause")
-        result.model_verified = True
     return result
 
 

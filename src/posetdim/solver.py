@@ -13,8 +13,8 @@ What the solver keeps, whatever its search:
 - the load (_solver_clauses) renumbers the variables the clauses use to
   1..k, so that the search's lists span those variables, not the largest
   id, and skips the clause copies the encoder marks (CnfInstance.copies);
-  parsed and hand-built CNFs carry no mask and are loaded without comparing
-  clauses with each other.  It works a slice of rows at a time, so its
+  hand-built CNFs carry no mask and are loaded without comparing clauses
+  with each other.  It works a slice of rows at a time, so its
   temporaries are the size of a slice, apart from its keep mask of one bool
   per clause;
 - clause c watches c[0] and c[1];
@@ -244,12 +244,7 @@ def internal_sat_solve(
                 model[used] = np.array(value[1 : top + 1]) != -1
                 if not sat.check_model(cnf.clauses, model):
                     raise AssertionError("internal solver produced a bad model")
-                return sat.SatResult(
-                    status="sat",
-                    assignment=model,
-                    model_verified=True,
-                    conflicts=conflicts,
-                )
+                return sat.SatResult(status="sat", assignment=model, conflicts=conflicts)
             decisions.append((len(trail), pos, False))
             enqueue(branch_order[pos])
         else:

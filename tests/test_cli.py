@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -183,6 +184,69 @@ class TestBoundsCommand:
     def test_out_of_range_prints_nothing(self, capsys, argv):
         code, out, err = run(capsys, "bounds", *argv)
         assert code == 2 and out == "" and err.startswith("usage error:")
+
+    @pytest.mark.parametrize("n", ["1001", "2:1001"])
+    def test_n_guard_prints_nothing(self, capsys, monkeypatch, n):
+        # Past the guard nothing is computed: min_m at n = 1001 would take
+        # about 10 s, and the range 2:1001 hours.
+        def unreachable(*args):
+            raise AssertionError("a bounds row was computed past the guard")
+
+        monkeypatch.setattr(cli.bounds_mod, "min_multiplicity_for_target", unreachable)
+        code, out, err = run(capsys, "bounds", "--n", n)
+        assert code == 4 and out == "" and err.startswith("error:")
+        assert "guard of 1000" in err
+
+    def test_n_guard_admits_its_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.bounds_mod, "min_multiplicity_for_target", lambda n, t: 2)
+        code, out, _ = run(capsys, "bounds", "--n", str(cli.MAX_BOUNDS_N))
+        assert code == 0 and out.splitlines()[1].split()[:2] == ["1000", "2"]
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["verify", "boolean:3", "builtin:b6", "--mode", "distinct", "--threads", "2"],
+        ["verify", "boolean:3", "builtin:b6"],
+        ["build-upper", "6", "--out", "b6.realizer"],
+        ["build-upper", "6"],
+        ["bounds", "--n", "1:3", "--m", "2:4"],
+        ["bounds", "--n", "3"],
+        ["signatures", "boolean:6", "builtin:b6", "--dset", "1,2"],
+        ["signatures", "boolean:6", "builtin:b6"],
+        ["exact", "boolean:3", "bdim", "--d-max", "2", "--mode", "distinct",
+         "--force", "--out", "w.realizer"],
+        ["exact", "boolean:3", "dim"],
+        ["sat", "standard:4", "--d", "4", "--phi", "and", "--engine", "external",
+         "--solver", "s {cnf}", "--timeout", "5", "--out", "r", "--force"],
+        ["sat", "boolean:2", "--d", "1"],
+        ["dump", "grid:2x3", "--out", "g.poset"],
+        ["dump", "builtin:b6"],
+    ]
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(5):
+            assert run(capsys, "bounds", "--n", "3")[0] == 0
+        assert len(built) == 1
+
+    def test_every_subcommand_parses_as_a_fresh_parser_does(self):
+        # Twice through the list, so a flag set by one call that leaked into
+        # the next, where its default should hold, would show.
+        for argv in self.ARGVS * 2:
+            fresh = cli.build_parser().parse_args(argv)
+            assert cli._parser().parse_args(argv) == fresh, argv
+
+    def test_import_builds_no_parser(self):
+        code = "import posetdim.cli as c; print(c._parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pd.__file__))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out == "0\n"
 
 
 class TestSignaturesCommand:

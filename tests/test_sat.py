@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import posetdim as pd
 import reference_parsers as reference
@@ -24,7 +24,6 @@ from posetdim.errors import (
     FixedPhiArityMismatch,
     GuardExceeded,
     ModelCheckFailed,
-    ParseError,
     SolverLaunchFailed,
     SolverTimeout,
     ToolkitError,
@@ -40,7 +39,6 @@ from posetdim.sat import (
     _literal_table,
     check_model,
     internal_sat_solve,
-    parse_dimacs,
     parse_solver_output,
     to_dimacs,
     varmap_sidecar,
@@ -391,7 +389,7 @@ class TestSolverLoad:
         # Two variables occur; the model's 2,000,001 bytes and the used mask
         # are the only costs that grow with the largest id (a traced peak of
         # about 3 MB).
-        cnf = parse_dimacs("p cnf 2000000 2\n1 2000000 0\n-1 0\n")
+        cnf = CnfInstance(2_000_000, [[1, 2_000_000], [-1]], VarMap())
         tracemalloc.start()
         try:
             result = internal_sat_solve(cnf)
@@ -405,7 +403,7 @@ class TestSolverLoad:
     def test_unconstrained_variables_are_true_in_bounded_memory(self):
         import tracemalloc
 
-        cnf = parse_dimacs("p cnf 1000000 1\n1 0\n")
+        cnf = CnfInstance(1_000_000, [[1]], VarMap())
         tracemalloc.start()
         try:
             result = internal_sat_solve(cnf)
@@ -637,9 +635,7 @@ class TestRowSlices:
             for _ in range(40):
                 c = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(width)]
                 clauses.append(c)
-        text = f"p cnf 12 {len(clauses)}\n"
-        text += "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
-        cnf = parse_dimacs(text)
+        cnf = CnfInstance(12, clauses, VarMap())
         want_kept, want_units = _reference_load(clauses)
         reduced = [c for c in clauses if len({abs(x) for x in c}) < len(c)]
         assert {len(c) for c in reduced} == {2, 3, 4} and want_units
@@ -671,43 +667,6 @@ class TestDecodeModel:
         tampered[1] = not tampered[1]
         with pytest.raises(DecodeInconsistent):
             pd.decode_model(cnf.varmap, tampered, p, 1)
-
-
-def _junk_line(text):
-    """One line of free text that is no "p" header, so nothing is sized by
-    a number in it."""
-    return len(text.splitlines()) <= 1 and not text.strip().startswith("p")
-
-
-@st.composite
-def small_dimacs_texts(draw):
-    """A DIMACS document over at most 8 variables and 12 clauses, often well
-    formed, with literals out of range, empty clauses, wrong clause counts,
-    broken or second headers, comments and junk lines at random."""
-    nv = draw(st.integers(-1, 8))
-    top = max(nv, 1) + draw(st.sampled_from((0, 0, 0, 1)))  # nv + 1 is out of range
-    lit = st.builds(int.__mul__, st.sampled_from((1, -1)), st.integers(1, top))
-    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4), max_size=12))
-    count = len(clauses) + draw(st.sampled_from((0, 0, 0, 1, -1)))
-    lines = [f"p cnf {nv} {count}"]
-    lines += [" ".join(map(str, [*c, 0])) for c in clauses]
-    edits = st.sampled_from((0, 0, 0, 1, 2))  # most documents keep their lines
-    headers = st.builds(
-        "p {} {} {}".format,
-        st.sampled_from(("cnf", "cnf", "dnf")),
-        st.integers(0, 8),
-        st.one_of(st.integers(0, 12), st.just("x")),
-    )
-    junk = st.one_of(st.text(max_size=16), st.sampled_from(("c note", "0", "1 x 0")))
-    for _ in range(min(draw(edits), len(lines))):
-        del lines[draw(st.integers(0, len(lines) - 1))]
-    for _ in range(draw(edits)):
-        lines.insert(draw(st.integers(0, len(lines))), draw(headers))
-    for _ in range(draw(edits)):
-        line = draw(junk)
-        if _junk_line(line):
-            lines.insert(draw(st.integers(0, len(lines))), line)
-    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -742,9 +701,8 @@ def _solver_outcome(parse, text, num_vars):
 class TestDimacsFormats:
     def test_round_trip(self):
         cnf = pd.encode_bdim_sat(pd.boolean_lattice(2), 1)
-        parsed = parse_dimacs(to_dimacs(cnf))
-        assert parsed.num_vars == cnf.num_vars
-        assert parsed.clauses == cnf.clauses
+        want = _naive_dimacs(cnf.num_vars, _clause_lists(cnf.clauses))
+        assert to_dimacs(cnf) == want
 
     def test_dimacs_shape(self):
         cnf = CnfInstance(2, [[1, -2]], VarMap())
@@ -761,62 +719,11 @@ class TestDimacsFormats:
         cnf = CnfInstance(3_000_000, [[2_999_999, -1], [7]], VarMap())
         text = to_dimacs(cnf)
         assert text == "p cnf 3000000 2\n2999999 -1 0\n7 0\n"
-        assert parse_dimacs(text).clauses == cnf.clauses
 
     def test_lone_large_id_gets_a_sparse_table(self):
         assert len(_literal_table(np.array([65536], dtype=np.int32))[0]) == 2
         cnf = CnfInstance(65536, [[65536]], VarMap())
         assert to_dimacs(cnf) == "p cnf 65536 1\n65536 0\n"
-
-    @pytest.mark.parametrize("body", ["1 0\n0\n", "0\n1 0\n", "1 0 0\n"])
-    def test_parse_rejects_an_empty_clause(self, body):
-        with pytest.raises(ParseError, match="empty clause"):
-            parse_dimacs("p cnf 1 2\n" + body)
-
-    @pytest.mark.parametrize("body", ["1 5 0\n", "5 1 0\n", "-1 -3 0\n"])
-    def test_parse_rejects_out_of_range_literal(self, body):
-        with pytest.raises(ParseError, match="out of range"):
-            parse_dimacs("p cnf 2 1\n" + body)
-
-    def test_parse_rejects_bad_counts_and_tokens(self):
-        with pytest.raises(ParseError, match="out of range"):
-            parse_dimacs("p cnf -1 0\n")
-        with pytest.raises(ParseError):
-            parse_dimacs("p cnf x 1\n1 0\n")
-        with pytest.raises(ParseError):
-            parse_dimacs("p cnf 2 1\n1 y 0\n")
-
-    def test_parse_rejects_bad_header(self):
-        with pytest.raises(ParseError):
-            parse_dimacs("p dnf 1 1\n1 0\n")
-        with pytest.raises(ParseError):
-            parse_dimacs("p cnf 1 2\n1 0\n")
-
-    def test_parse_rejects_a_second_header(self):
-        # Literal 5 is checked against the first header; the second must not
-        # shrink num_vars under it.
-        with pytest.raises(ParseError, match="second DIMACS header"):
-            parse_dimacs("p cnf 5 1\n5 0\np cnf 1 1\n")
-        with pytest.raises(ParseError, match="second DIMACS header"):
-            parse_dimacs("p cnf 2 1\np cnf 2 1\n1 0\n")
-
-    @settings(max_examples=300)
-    @given(small_dimacs_texts(), st.integers(0, 511))
-    @example("p cnf 5 1\n5 0\np cnf 1 1\n", 0b100000)
-    def test_small_texts_parse_or_raise_toolkit_errors(self, text, mask):
-        try:
-            cnf = parse_dimacs(text)
-        except ToolkitError:
-            return
-        assert 0 <= cnf.num_vars <= 8
-        again = parse_dimacs(to_dimacs(cnf))
-        assert again.num_vars == cnf.num_vars and again.clauses == cnf.clauses
-        model = [bool(mask >> v & 1) for v in range(cnf.num_vars + 1)]
-        want = all(
-            any(model[abs(lit)] == (lit > 0) for lit in clause)
-            for clause in _clause_lists(cnf.clauses)
-        )
-        assert check_model(cnf.clauses, model) == want
 
     @settings(max_examples=300)
     @given(small_solver_outputs(), st.integers(0, 8))
@@ -987,8 +894,7 @@ class TestDimacsWriter:
         finally:
             tracemalloc.stop()
         assert held < 16 * 2**20 and len(cnf.clauses) == 400_000
-        parsed = parse_dimacs("p cnf 3 400000\n" + "1 -2 0\n-1 2 3 0\n" * 200_000)
-        assert parsed.clauses == cnf.clauses
+        assert to_dimacs(cnf) == "p cnf 3 400000\n" + "1 -2 0\n-1 2 3 0\n" * 200_000
 
     @pytest.mark.parametrize("window", [1, 2, 5, 1 << 16, pd.sat._SLICE_ROWS])
     def test_width_runs_across_windows(self, monkeypatch, window):
@@ -1026,8 +932,7 @@ class TestDimacsWriter:
         shapes = [block.shape for block in cnf.clauses.blocks]
         merged = len(cnf.clauses) - (phi is None)  # all but the reflexive unit
         assert shapes[0] == (merged, width) and len(shapes) == 1 + (phi is None)
-        parsed = parse_dimacs(to_dimacs(cnf))
-        assert parsed.clauses == cnf.clauses
+        assert to_dimacs(cnf) == _naive_dimacs(cnf.num_vars, _clause_lists(cnf.clauses))
 
 
 def _script(tmp_path, name, body):
@@ -1061,8 +966,10 @@ class TestExternalSolver:
             "goodsolver.py",
             """
             import sys
-            from posetdim.sat import parse_dimacs, internal_sat_solve
-            cnf = parse_dimacs(open(sys.argv[1]).read())
+            from posetdim.sat import CnfInstance, VarMap, internal_sat_solve
+            header, *rows = open(sys.argv[1]).read().splitlines()
+            clauses = [[int(tok) for tok in row.split()[:-1]] for row in rows]
+            cnf = CnfInstance(int(header.split()[2]), clauses, VarMap())
             res = internal_sat_solve(cnf)
             if res.status == "sat":
                 lits = [v if res.assignment[v] else -v
@@ -1076,7 +983,7 @@ class TestExternalSolver:
         p = pd.standard_example(2)
         cnf = pd.encode_bdim_sat(p, 2)
         result = pd.run_external_solver(cnf, f"{sys.executable} {script} {{cnf}}")
-        assert result.status == "sat" and result.model_verified
+        assert result.status == "sat"
         realizer = pd.decode_model(cnf.varmap, result.assignment, p, 2)
         assert pd.verify(p, realizer).ok
 
@@ -1097,9 +1004,9 @@ class TestExternalSolver:
     def test_bad_literal_reaches_no_writer_and_no_solver(
         self, monkeypatch, num_vars, clauses
     ):
-        # Written out, these were a DIMACS text that parse_dimacs rejects, or
-        # one with more clauses than its header; the model check of a sat
-        # answer raised IndexError.
+        # Written out, these were a DIMACS text with a literal past its
+        # header's variable count, or one with more clauses than its header;
+        # the model check of a sat answer raised IndexError.
         def unreachable(*args, **kwargs):
             raise AssertionError("an instance with a bad literal was written")
 
@@ -1113,7 +1020,7 @@ class TestExternalSolver:
         script = _script(tmp_path, "naysayer.py", 'print("s UNSATISFIABLE")\n')
         cnf = CnfInstance(1, [[1]], VarMap())
         result = pd.run_external_solver(cnf, f"{sys.executable} {script} {{cnf}}")
-        assert result.status == "unsat" and not result.model_verified
+        assert result.status == "unsat" and result.assignment is None
 
     def test_failed_solver_reports_exit_code_and_stderr(self):
         cnf = CnfInstance(1, [[1]], VarMap())
@@ -1198,7 +1105,8 @@ class TestSearchRealizer:
             pd.boolean_lattice(2), 2, engine="emit", emit_path=out
         )
         assert report.status == "emitted"
-        cnf = parse_dimacs(out.read_text())
+        cnf = pd.encode_bdim_sat(pd.boolean_lattice(2), 2)
+        assert out.read_text() == to_dimacs(cnf)
         assert cnf.num_vars == report.num_vars == 16
         sidecar = (tmp_path / "instance.cnf.varmap").read_text().splitlines()
         assert sidecar[0] == "var 1 order 1 before 0 1"
@@ -1214,7 +1122,7 @@ class TestSearchRealizer:
             p, 3, phi=pd.and_function(3), engine="emit", emit_path=out
         )
         cnf = pd.encode_bdim_sat(p, 3, fixed_phi=pd.and_function(3))
-        assert parse_dimacs(out.read_text()).clauses == cnf.clauses
+        assert out.read_text() == to_dimacs(cnf)
         result = internal_sat_solve(cnf)
         realizer = pd.decode_model(
             cnf.varmap, result.assignment, p, 3, fixed_phi=pd.and_function(3)
